@@ -163,7 +163,8 @@ infer::JointCalibration calibrate_on(const core::JointModel& joint,
 }  // namespace
 
 std::uint64_t stratified_night_seed(std::uint64_t seed,
-                                    const NightShape& shape) {
+                                    const NightShape& shape,
+                                    std::uint64_t nth) {
   const auto target = static_cast<std::int64_t>(
       std::llround(static_cast<double>(shape.pool) * shape.real_fraction));
   for (std::uint64_t k = 0;; ++k) {
@@ -174,7 +175,7 @@ std::uint64_t stratified_night_seed(std::uint64_t seed,
       sne::Rng rng(candidate ^ slot_mix(static_cast<std::uint64_t>(s) + 1));
       if (rng.bernoulli(shape.real_fraction)) ++real;
     }
-    if (real == target) return candidate;
+    if (real == target && nth-- == 0) return candidate;
   }
 }
 

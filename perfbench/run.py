@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Builds and runs the repository benchmark (see perfbench/README.md).
 
-    python3 perfbench/run.py --workload night_survey --seed 1 --seconds 12 --trace 0
+    python3 perfbench/run.py --workload night_survey --seed 1 --seconds 40 --trace 0
     python3 perfbench/run.py --test        # build and run the harness tests
 
 Run from the repository root. The library and the benchmark are built

@@ -38,15 +38,20 @@ namespace stream = sne::stream;
 
 inline constexpr std::int64_t kStamp = 44;  ///< `sne train`/`sne serve` default
 inline constexpr std::int64_t kCrop = 21;
-inline constexpr int kPoolThreads = 2;
-inline constexpr std::int64_t kPrefetch = 1;
+/// One pool thread and inline night production (prefetch depth 0), so a
+/// night runs on one thread. On a shared virtual machine a second thread
+/// measures the host's scheduler: a prefetching producer overlapped with
+/// the cascade in a few runs only (their fastest nights 1.7x faster), and
+/// a second pool thread sped up neither night.
+inline constexpr int kPoolThreads = 1;
+inline constexpr std::int64_t kPrefetch = 0;
 
 /// Complete set-ups timed per run; setup_s is their median.
-inline constexpr int kSetups = 3;
+inline constexpr int kSetups = 5;
 
 struct RunOptions {
   std::uint64_t seed = 1;
-  double seconds = 12.0;
+  double seconds = 40.0;
   bool trace = false;
 };
 
@@ -68,13 +73,14 @@ struct NightShape {
   double real_fraction = 0.02;
 };
 
-/// The night seed for benchmark seed `seed`: the first of a seeded
-/// sequence of candidates whose pool draws exactly round(pool ·
+/// The night seed for benchmark seed `seed`: the `nth` (from 0) of a
+/// seeded sequence of candidates whose pool draws exactly round(pool ·
 /// real_fraction) real slots, so every seed runs a night with the
 /// intended real share and runs differ in which candidates are real,
 /// their arrival order and their artifacts, not in how many there are.
 std::uint64_t stratified_night_seed(std::uint64_t seed,
-                                    const NightShape& shape);
+                                    const NightShape& shape,
+                                    std::uint64_t nth = 0);
 
 /// One complete set-up: dataset, models, plans, a warmed night and the
 /// int8 calibration recorded on its rows. Pinned in memory: the night
