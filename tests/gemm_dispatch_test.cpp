@@ -8,6 +8,7 @@
 // the im2col lowering and free of column-buffer allocations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -214,6 +215,181 @@ TEST(GemmDispatch, EpilogueStillAppliesOnDegenerateCalls) {
     EXPECT_FLOAT_EQ(c.at(0, j), 3.0f);
     EXPECT_FLOAT_EQ(c.at(1, j), 0.0f);
   }
+}
+
+// ---- Avx2Fma bit contract ----
+//
+// The tier names a bit contract, not a register width: whatever kernel the
+// host runs inside it, every C element in the vector region (the first
+// 8·⌊nb/8⌋ columns of each kBlockN = 256 column block) is one fused
+// multiply-add chain over k in ascending order, starting from the loaded
+// (beta-scaled) C value, and the remaining columns keep the scalar loops.
+// The sweep crosses the 8/16/32-column tile edges, the 256-column block
+// edge and the 256 k-block edge, and m runs past the 64-row panel.
+
+constexpr std::int64_t kPinMaxM = 70;
+constexpr std::int64_t kPinN[] = {1,  7,  8,   9,   15,  16,  17,
+                                  24, 31, 32,  33,  47,  48,  49,
+                                  255, 256, 257, 272, 289, 1600};
+constexpr std::int64_t kPinK[] = {1, 3, 25, 256, 257};
+
+// splitmix64-driven values in [-1, 1): independent of Rng/Tensor::randn, so
+// the pinned digest only moves when the kernels do.
+struct PinValues {
+  std::uint64_t state;
+  float next() {
+    std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    z ^= z >> 31;
+    return static_cast<float>(z >> 40) * 0x1p-23f - 1.0f;
+  }
+  std::vector<float> fill(std::int64_t count) {
+    std::vector<float> v(static_cast<std::size_t>(count));
+    for (float& x : v) x = next();
+    return v;
+  }
+};
+
+struct Fnv1a {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  void mix(const void* p, std::size_t n) {
+    const auto* bytes = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= bytes[i];
+      h *= 0x100000001B3ULL;
+    }
+  }
+  void mix(const std::vector<float>& v) {
+    mix(v.data(), v.size() * sizeof(float));
+  }
+};
+
+// The operands of one swept shape: A (m×k), its transpose (k×m) for
+// sgemm_at, B (k×n), an initial C and per-row bias/PReLU slopes.
+struct PinCase {
+  std::vector<float> a, at, b, c0, bias, slope;
+  PinCase(std::int64_t m, std::int64_t n, std::int64_t k) {
+    PinValues v{static_cast<std::uint64_t>((m * 4096 + n) * 4096 + k)};
+    a = v.fill(m * k);
+    b = v.fill(k * n);
+    c0 = v.fill(m * n);
+    bias = v.fill(m);
+    slope = v.fill(m);
+    at.resize(a.size());
+    for (std::int64_t i = 0; i < m; ++i) {
+      for (std::int64_t p = 0; p < k; ++p) {
+        at[static_cast<std::size_t>(p * m + i)] =
+            a[static_cast<std::size_t>(i * k + p)];
+      }
+    }
+  }
+};
+
+bool in_vector_region(std::int64_t j, std::int64_t n) {
+  constexpr std::int64_t kBlockN = 256;
+  const std::int64_t j0 = j - j % kBlockN;
+  const std::int64_t nb = std::min(kBlockN, n - j0);
+  return j - j0 < nb / 8 * 8;
+}
+
+TEST(GemmDispatch, Avx2TierBitsMatchGoldenDigest) {
+  if (!vector_tier_available()) GTEST_SKIP() << "no AVX2+FMA on this CPU";
+  TierGuard guard;
+  set_gemm_tier(GemmTier::Avx2Fma);
+  Fnv1a all;
+  Fnv1a vector;
+  const auto mix = [&](const std::vector<float>& c, std::int64_t n) {
+    all.mix(c);
+    for (std::size_t at = 0; at < c.size(); ++at) {
+      const auto j = static_cast<std::int64_t>(at) % n;
+      if (in_vector_region(j, n)) vector.mix(&c[at], sizeof(float));
+    }
+  };
+  for (std::int64_t m = 1; m <= kPinMaxM; ++m) {
+    for (const std::int64_t n : kPinN) {
+      for (const std::int64_t k : kPinK) {
+        const PinCase in(m, n, k);
+        std::vector<float> c = in.c0;
+        sgemm(m, n, k, 0.5f, in.a.data(), in.b.data(), 1.0f, c.data());
+        mix(c, n);
+        sgemm_serial(m, n, k, 1.0f, in.a.data(), in.b.data(), 0.0f, c.data(),
+                     GemmEpilogue{in.bias.data(), in.slope.data()});
+        mix(c, n);
+        c = in.c0;
+        sgemm_at(m, n, k, 0.5f, in.at.data(), in.b.data(), 1.0f, c.data());
+        mix(c, n);
+      }
+    }
+  }
+  // Both computed on the 6×16 AVX2 kernel; every later kernel of the tier
+  // must reproduce them bit for bit. The vector region is intrinsics only,
+  // so its digest holds in any build. The tail columns are scalar loops as
+  // the compiler emits them, so the full digest has one value per
+  // optimization level: GCC at -O3 (the Release build, the same on every
+  // -march tried from x86-64 to native AVX-512) vectorizes part of each k
+  // loop without fusing, -O2 (the sanitizer presets) contracts every step
+  // into an FMA, and -O0 fuses none.
+  EXPECT_EQ(vector.h, 0x6528fcf426f26264ULL) << std::hex << "got 0x" << vector.h;
+  static constexpr std::uint64_t kAllByOptLevel[] = {
+      0xf8430e5ce674e9dfULL,  // -O3
+      0xd69b0e18decfa307ULL,  // -O2
+      0x6a7202f707f33951ULL,  // -O0
+  };
+  EXPECT_NE(std::find(std::begin(kAllByOptLevel), std::end(kAllByOptLevel),
+                      all.h),
+            std::end(kAllByOptLevel))
+      << std::hex << "got 0x" << all.h;
+}
+
+TEST(GemmDispatch, Avx2TierVectorColumnsAreFmaChainsInKOrder) {
+  if (!vector_tier_available()) GTEST_SKIP() << "no AVX2+FMA on this CPU";
+  TierGuard guard;
+  set_gemm_tier(GemmTier::Avx2Fma);
+  std::int64_t checked = 0;
+  for (std::int64_t m = 1; m <= kPinMaxM; ++m) {
+    for (const std::int64_t n : kPinN) {
+      for (const std::int64_t k : kPinK) {
+        const PinCase in(m, n, k);
+        // The contract: alpha is folded into A first, then one fmaf per k.
+        std::vector<float> want = in.c0;
+        for (std::int64_t i = 0; i < m; ++i) {
+          float* row = want.data() + i * n;
+          for (std::int64_t p = 0; p < k; ++p) {
+            const float ap = 0.5f * in.a[static_cast<std::size_t>(i * k + p)];
+            const float* bp = in.b.data() + p * n;
+            for (std::int64_t j = 0; j < n; ++j) {
+              row[j] = std::fmaf(ap, bp[j], row[j]);
+            }
+          }
+        }
+        std::vector<float> got = in.c0;
+        sgemm(m, n, k, 0.5f, in.a.data(), in.b.data(), 1.0f, got.data());
+        std::vector<float> got_serial = in.c0;
+        sgemm_serial(m, n, k, 0.5f, in.a.data(), in.b.data(), 1.0f,
+                     got_serial.data());
+        std::vector<float> got_at = in.c0;
+        sgemm_at(m, n, k, 0.5f, in.at.data(), in.b.data(), 1.0f,
+                 got_at.data());
+        for (std::int64_t j = 0; j < n; ++j) {
+          if (!in_vector_region(j, n)) continue;
+          for (std::int64_t i = 0; i < m; ++i) {
+            const std::size_t at = static_cast<std::size_t>(i * n + j);
+            ASSERT_EQ(std::memcmp(&got[at], &want[at], sizeof(float)), 0)
+                << "sgemm m=" << m << " n=" << n << " k=" << k << " i=" << i
+                << " j=" << j;
+            ASSERT_EQ(std::memcmp(&got_serial[at], &want[at], sizeof(float)),
+                      0)
+                << "sgemm_serial m=" << m << " n=" << n << " k=" << k;
+            ASSERT_EQ(std::memcmp(&got_at[at], &want[at], sizeof(float)), 0)
+                << "sgemm_at m=" << m << " n=" << n << " k=" << k;
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0);
 }
 
 // ---- 1×1 convolution fast path ----

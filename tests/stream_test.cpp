@@ -1,12 +1,15 @@
 // stream_test.cpp — the survey-night alert cascade: NightStream batch
 // determinism across prefetch depths and thread counts, FilterCascade
 // verdict/count invariance, completion-gate behavior at the threshold
-// extremes, hand-computable tier accounting, and the CascadeScorer
-// serving adapter.
+// extremes, hand-computable tier accounting, the CascadeScorer serving
+// adapter, and the repository benchmark's pinned canary nights.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
 #include <map>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "core/inference.h"
@@ -17,6 +20,7 @@
 #include "stream/cascade_scorer.h"
 #include "stream/night.h"
 #include "stream/tier1.h"
+#include "tensor/gemm.h"
 #include "tensor/runtime.h"
 
 namespace sne {
@@ -525,6 +529,187 @@ TEST(ScorerSpec, ExactlyOneSourceIsEnforced) {
   both.joint = [&joint] { return core::make_session(joint); };
   both.custom = [] { return std::unique_ptr<serve::Scorer>(); };
   EXPECT_THROW(serve::make_scorer(both), std::invalid_argument);
+}
+
+// ---- benchmark canary -----------------------------------------------
+//
+// The repository benchmark (perfbench/) refuses a run whose canary nights
+// do not reproduce committed keys: a small real-rich night scored at fp32
+// and int8, once behind the trained tier-1 CNN (the cascade variant) and
+// once with the joint tier scoring every candidate (joint-all). These
+// tests rebuild the same nights from the public API, so a change that
+// moves a key fails in ctest, not only in a 40 s benchmark run. The keys
+// are per GEMM tier: tier-1 trains through the active kernels.
+
+constexpr std::int64_t kCanaryStamp = 44;
+
+struct CanaryKey {
+  std::vector<std::int64_t> counts;  ///< per tier (in, passed), evicted,
+                                     ///< incomplete
+  std::uint64_t digest = 0;  ///< FNV-1a of (candidate, score bits, accepted)
+};
+
+CanaryKey canary_key(const stream::FilterCascade& cascade) {
+  CanaryKey key;
+  for (const auto& tier : cascade.counts().tiers) {
+    key.counts.push_back(tier.in);
+    key.counts.push_back(tier.passed);
+  }
+  key.counts.push_back(cascade.counts().evicted);
+  key.counts.push_back(cascade.counts().incomplete);
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  const auto mix = [&h](const void* p, std::size_t n) {
+    const auto* bytes = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= bytes[i];
+      h *= 0x100000001B3ULL;
+    }
+  };
+  for (const stream::Verdict& v : cascade.verdicts()) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &v.score, sizeof(bits));
+    const std::uint8_t accepted = v.accepted ? 1 : 0;
+    mix(&v.candidate, sizeof(v.candidate));
+    mix(&bits, sizeof(bits));
+    mix(&accepted, sizeof(accepted));
+  }
+  key.digest = h;
+  return key;
+}
+
+// Joint-model rows ([bands·2·S·S pairs, bands dates]) of the first `count`
+// candidates whose five alerts have all arrived, in completion order.
+Tensor first_complete_joint_rows(stream::NightStream& night,
+                                 std::int64_t count) {
+  const std::int64_t per_band = 2 * kCanaryStamp * kCanaryStamp;
+  const std::int64_t width = core::JointModel::input_dim(kCanaryStamp);
+  Tensor rows({count, width});
+  std::map<std::int64_t, std::pair<std::vector<float>, int>> partial;
+  std::int64_t filled = 0;
+  stream::AlertBatch batch;
+  while (filled < count && night.next(batch)) {
+    for (std::int64_t a = 0; a < batch.size() && filled < count; ++a) {
+      const float* m = batch.meta.data() + a * stream::meta::kColumns;
+      const auto band = static_cast<std::int64_t>(m[stream::meta::kBand]);
+      auto& [row, seen] =
+          partial[static_cast<std::int64_t>(m[stream::meta::kCandidate])];
+      row.resize(static_cast<std::size_t>(width));
+      std::memcpy(row.data() + band * per_band,
+                  batch.pair.data() + a * per_band,
+                  static_cast<std::size_t>(per_band) * sizeof(float));
+      row[static_cast<std::size_t>(astro::kNumBands * per_band + band)] =
+          m[stream::meta::kDate];
+      if (++seen == astro::kNumBands) {
+        std::memcpy(rows.data() + filled * width, row.data(),
+                    static_cast<std::size_t>(width) * sizeof(float));
+        ++filled;
+      }
+    }
+  }
+  EXPECT_EQ(filled, count);
+  night.reset();
+  return rows;
+}
+
+// Runs the canary night at fp32 then int8 on the running GEMM tier.
+std::pair<CanaryKey, CanaryKey> run_canary(bool with_tier1) {
+  const sim::SnDataset data = small_dataset(24, 9);
+  const std::vector<std::int64_t> samples = range_indices(data.size());
+  std::unique_ptr<stream::Tier1Cnn> tier1;
+  std::shared_ptr<const infer::InferencePlan> tier1_plan;
+  if (with_tier1) {
+    stream::Tier1Config t1cfg;
+    t1cfg.crop = kCrop;
+    tier1 = stream::train_tier1(data, samples, t1cfg);
+    tier1_plan = stream::compile_tier1_plan(*tier1);
+  }
+  Rng rng(7);
+  core::JointModelConfig jcfg;
+  jcfg.cnn.input_size = kCanaryStamp;
+  const core::JointModel joint(jcfg, rng);
+
+  stream::NightConfig ncfg;
+  ncfg.candidates = 64;
+  ncfg.pool = 8;
+  ncfg.field = 16;
+  ncfg.batch = 32;
+  ncfg.stamp = kCanaryStamp;
+  ncfg.crop = kCrop;
+  ncfg.real_fraction = 0.5;
+  ncfg.seed = 2026;
+  stream::NightStream night(data, samples, ncfg);
+  const Tensor calibration_rows = first_complete_joint_rows(night, 32);
+  const infer::JointCalibration table =
+      core::calibrate(joint, std::span<const Tensor>(&calibration_rows, 1));
+
+  std::pair<CanaryKey, CanaryKey> keys;
+  for (const Precision precision : {Precision::Fp32, Precision::Int8}) {
+    stream::CascadeConfig cfg;
+    if (tier1_plan) {
+      cfg.stages.push_back(stream::CascadeStage{
+          "tier1", tier1_plan, stream::AlertInput::Tier1, 0.0f, false});
+    }
+    cfg.joint = [&joint, &table, precision] {
+      core::SessionOptions options;
+      options.precision = precision;
+      if (precision == Precision::Int8) options.joint_calibration = &table;
+      return core::make_session(joint, options);
+    };
+    cfg.max_pending = 4 * ncfg.field;
+    night.reset();
+    const CanaryKey key = canary_key(stream::run_night(night, cfg));
+    (precision == Precision::Fp32 ? keys.first : keys.second) = key;
+  }
+  return keys;
+}
+
+void expect_canary(GemmTier tier, bool with_tier1, std::uint64_t fp32,
+                   std::uint64_t int8) {
+  if (!gemm_tier_supported(tier)) {
+    GTEST_SKIP() << "no " << gemm_tier_name(tier) << " tier on this CPU";
+  }
+  RuntimeGuard runtime;
+  set_runtime(1, 0);
+  const GemmTier previous = gemm_tier();
+  set_gemm_tier(tier);
+  const auto [got_fp32, got_int8] = run_canary(with_tier1);
+  set_gemm_tier(previous);
+
+  // Built from arrays: GCC 12 with AVX-512 enabled at -O2 and above
+  // miscompiles the initializer list {64, 64, 0, 0} into four 64s.
+  static constexpr std::int64_t kCascade[] = {320, 203, 24, 24, 0, 36};
+  static constexpr std::int64_t kJointAll[] = {64, 64, 0, 0};
+  const std::vector<std::int64_t> counts =
+      with_tier1 ? std::vector<std::int64_t>(std::begin(kCascade),
+                                             std::end(kCascade))
+                 : std::vector<std::int64_t>(std::begin(kJointAll),
+                                             std::end(kJointAll));
+  EXPECT_EQ(got_fp32.counts, counts);
+  EXPECT_EQ(got_int8.counts, counts);
+  EXPECT_EQ(got_fp32.digest, fp32) << std::hex << "fp32 got 0x"
+                                   << got_fp32.digest;
+  EXPECT_EQ(got_int8.digest, int8) << std::hex << "int8 got 0x"
+                                   << got_int8.digest;
+}
+
+TEST(BenchmarkCanary, CascadeKeysOnAvx2Tier) {
+  expect_canary(GemmTier::Avx2Fma, true, 0x644c86954dbcebefULL,
+                0xd0e2be6c84747fadULL);
+}
+
+TEST(BenchmarkCanary, JointAllKeysOnAvx2Tier) {
+  expect_canary(GemmTier::Avx2Fma, false, 0xc2f19078bcd9108bULL,
+                0x68777f7eedab333bULL);
+}
+
+TEST(BenchmarkCanary, CascadeKeysOnScalarTier) {
+  expect_canary(GemmTier::Scalar, true, 0x2f4903e74008f987ULL,
+                0x433757f948f1e21bULL);
+}
+
+TEST(BenchmarkCanary, JointAllKeysOnScalarTier) {
+  expect_canary(GemmTier::Scalar, false, 0x2f5f9424e7ba057bULL,
+                0xe16a9f4e6471bc91ULL);
 }
 
 }  // namespace
