@@ -86,6 +86,48 @@ BENCHMARK(BM_SgemmKernelTier)
     ->Args({256, 0})
     ->Args({256, 1});
 
+// The conv GEMMs of the served models, as their plan steps call them:
+// sgemm_serial with the folded bias + PReLU epilogue, m×n×k = output
+// channels × output pixels × (input channels · 5 · 5). First arg the
+// shape, second the tier (0 scalar, 1 avx2). On AVX-512F hosts the avx2
+// tier runs its 512-bit tiles, so /1 there tracks those.
+struct ConvGemmShape {
+  const char* name;
+  std::int64_t m, n, k;
+};
+constexpr ConvGemmShape kConvGemmShapes[] = {
+    {"joint_conv1", 10, 1600, 25}, {"joint_conv3", 20, 256, 250},
+    {"joint_conv5", 30, 16, 500},  {"tier1_conv0", 8, 289, 25},
+    {"tier1_conv2", 16, 16, 200},
+};
+
+void BM_ConvGemmShape(benchmark::State& state) {
+  const ConvGemmShape& s = kConvGemmShapes[state.range(0)];
+  const auto tier = static_cast<GemmTier>(state.range(1));
+  if (!gemm_tier_supported(tier)) {
+    state.SkipWithError("kernel tier not supported on this CPU");
+    return;
+  }
+  const GemmTier prev = gemm_tier();
+  set_gemm_tier(tier);
+  Rng rng(1);
+  const Tensor a = Tensor::randn({s.m, s.k}, rng);
+  const Tensor b = Tensor::randn({s.k, s.n}, rng);
+  const Tensor bias = Tensor::randn({s.m}, rng);
+  const Tensor slope({s.m}, 0.25f);
+  Tensor c({s.m, s.n});
+  const GemmEpilogue ep{bias.data(), slope.data()};
+  for (auto _ : state) {
+    sgemm_serial(s.m, s.n, s.k, 1.0f, a.data(), b.data(), 0.0f, c.data(), ep);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * s.m * s.n * s.k);
+  state.SetLabel(std::string(s.name) + " " + gemm_tier_name(tier));
+  set_gemm_tier(prev);
+}
+BENCHMARK(BM_ConvGemmShape)->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1}});
+
 // Int8 kernel-tier pairs: the saturating s8×s8→s32 GEMM with requant
 // epilogue, scalar (0) vs AVX2 (1). Integer accumulation is exact, so
 // unlike the fp32 pair both tiers produce identical bytes — the pair

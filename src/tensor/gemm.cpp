@@ -69,8 +69,9 @@ void gemm_block(std::int64_t mb, std::int64_t nb, std::int64_t kb,
 // rows/columns fall back to narrower tiles and finally scalar loops;
 // every path has a fixed accumulation order, so the tier stays bitwise
 // deterministic (it just differs from the scalar tier by reassociation of
-// the k sum).
-__attribute__((target("avx2,fma"))) void gemm_block_avx2(
+// the k sum). Never inlined: gemm_block_avx512 hands it its tail columns,
+// which must run this very code, not a copy compiled for the wider target.
+__attribute__((target("avx2,fma"), noinline)) void gemm_block_avx2(
     std::int64_t mb, std::int64_t nb, std::int64_t kb, const float* a,
     std::int64_t lda, const float* b, std::int64_t ldb, float* c,
     std::int64_t ldc) {
@@ -289,12 +290,120 @@ __attribute__((target("avx2,fma"))) void gemm_block_avx2(
   }
 }
 
+// The Avx2Fma tier's kernel on AVX-512F hosts. The tier names a bit
+// contract, not a register width: every C element left of the last 16-wide
+// column edge is one FMA chain over k in ascending order, starting from the
+// loaded C value — exactly what the 256-bit tiles compute, so wider
+// registers change no bit. Rows go in near-equal groups of at most 12
+// (m = 10, 20, 30 → 10, 10+10, 10+10+10, where the 6-row tiles leave a
+// 4-row pass at m = 10 and two 1-row passes at m = 20) against 32- and
+// 16-column tiles: 2·12 accumulators + 2 B vectors + 1 broadcast fit the
+// 32 zmm registers. The last nb mod 16 columns go through gemm_block_avx2
+// unchanged, whose scalar tail loops are not FMA chains.
+template <int R, int V>
+__attribute__((target("avx512f"))) inline void gemm_tile_avx512(
+    std::int64_t kb, const float* a, std::int64_t lda, const float* b,
+    std::int64_t ldb, float* c, std::int64_t ldc) {
+  // The pragmas unroll before scalar replacement, so acc lives in
+  // registers rather than in a stack array copied around the k loop.
+  __m512 acc[R][V];
+#pragma GCC unroll 12
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) {
+      acc[r][v] = _mm512_loadu_ps(c + r * ldc + 16 * v);
+    }
+  }
+  for (std::int64_t p = 0; p < kb; ++p) {
+    __m512 bv[V];
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) {
+      bv[v] = _mm512_loadu_ps(b + p * ldb + 16 * v);
+    }
+#pragma GCC unroll 12
+    for (int r = 0; r < R; ++r) {
+      const __m512 av = _mm512_set1_ps(a[r * lda + p]);
+#pragma GCC unroll 2
+      for (int v = 0; v < V; ++v) {
+        acc[r][v] = _mm512_fmadd_ps(av, bv[v], acc[r][v]);
+      }
+    }
+  }
+#pragma GCC unroll 12
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) {
+      _mm512_storeu_ps(c + r * ldc + 16 * v, acc[r][v]);
+    }
+  }
+}
+
+template <int V>
+__attribute__((target("avx512f"))) void gemm_rows_avx512(
+    std::int64_t rows, std::int64_t kb, const float* a, std::int64_t lda,
+    const float* b, std::int64_t ldb, float* c, std::int64_t ldc) {
+  switch (rows) {
+    case 1: gemm_tile_avx512<1, V>(kb, a, lda, b, ldb, c, ldc); break;
+    case 2: gemm_tile_avx512<2, V>(kb, a, lda, b, ldb, c, ldc); break;
+    case 3: gemm_tile_avx512<3, V>(kb, a, lda, b, ldb, c, ldc); break;
+    case 4: gemm_tile_avx512<4, V>(kb, a, lda, b, ldb, c, ldc); break;
+    case 5: gemm_tile_avx512<5, V>(kb, a, lda, b, ldb, c, ldc); break;
+    case 6: gemm_tile_avx512<6, V>(kb, a, lda, b, ldb, c, ldc); break;
+    case 7: gemm_tile_avx512<7, V>(kb, a, lda, b, ldb, c, ldc); break;
+    case 8: gemm_tile_avx512<8, V>(kb, a, lda, b, ldb, c, ldc); break;
+    case 9: gemm_tile_avx512<9, V>(kb, a, lda, b, ldb, c, ldc); break;
+    case 10: gemm_tile_avx512<10, V>(kb, a, lda, b, ldb, c, ldc); break;
+    case 11: gemm_tile_avx512<11, V>(kb, a, lda, b, ldb, c, ldc); break;
+    default: gemm_tile_avx512<12, V>(kb, a, lda, b, ldb, c, ldc); break;
+  }
+}
+
+constexpr std::int64_t kAvx512MaxRows = 12;
+
+__attribute__((target("avx512f"))) void gemm_block_avx512(
+    std::int64_t mb, std::int64_t nb, std::int64_t kb, const float* a,
+    std::int64_t lda, const float* b, std::int64_t ldb, float* c,
+    std::int64_t ldc) {
+  const std::int64_t nv = nb / 16 * 16;
+  const std::int64_t groups = (mb + kAvx512MaxRows - 1) / kAvx512MaxRows;
+  // Column strips outermost: a 32-column strip of B (≤ 32 KiB at
+  // kBlockK) stays in L1 while every row group streams over it.
+  for (std::int64_t j = 0; j < nv; j += 32) {
+    std::int64_t i = 0;
+    for (std::int64_t g = 0; g < groups; ++g) {
+      const std::int64_t rows = (mb - i) / (groups - g);
+      if (j + 32 <= nv) {
+        gemm_rows_avx512<2>(rows, kb, a + i * lda, lda, b + j, ldb,
+                            c + i * ldc + j, ldc);
+      } else {
+        gemm_rows_avx512<1>(rows, kb, a + i * lda, lda, b + j, ldb,
+                            c + i * ldc + j, ldc);
+      }
+      i += rows;
+    }
+  }
+  if (nv < nb) {
+    gemm_block_avx2(mb, nb - nv, kb, a, lda, b + nv, ldb, c + nv, ldc);
+  }
+}
+
 #endif  // SNE_GEMM_X86
 
 bool cpu_has_avx2_fma() noexcept {
 #if SNE_GEMM_X86
   __builtin_cpu_init();
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+#else
+  return false;
+#endif
+}
+
+// libgcc reports avx512f only when CPUID has it AND the OS enables the
+// zmm/opmask state in XCR0.
+bool cpu_has_avx512f() noexcept {
+#if SNE_GEMM_X86
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512f");
 #else
   return false;
 #endif
@@ -330,7 +439,12 @@ using BlockKernel = void (*)(std::int64_t, std::int64_t, std::int64_t,
 
 BlockKernel active_block_kernel() {
 #if SNE_GEMM_X86
-  if (gemm_tier() == GemmTier::Avx2Fma) return gemm_block_avx2;
+  if (gemm_tier() == GemmTier::Avx2Fma) {
+    // Same bits either way (see gemm_block_avx512); chosen once.
+    static const BlockKernel kernel =
+        cpu_has_avx512f() ? gemm_block_avx512 : gemm_block_avx2;
+    return kernel;
+  }
 #endif
   return gemm_block;
 }
@@ -369,23 +483,31 @@ void apply_epilogue(std::int64_t i0, std::int64_t mb, std::int64_t n,
 // then the epilogue for those rows. Shared by the parallel and serial
 // drivers so their math (and bits) are identical; `a_panel` is
 // caller-provided scratch, reused across calls. `kernel` is the dispatched
-// inner kernel, captured once per driver call.
+// inner kernel, captured once per driver call. At alpha == 1 the kernels
+// read A in place: 1·x == x for every float, so the scaled copy would only
+// cost a pass over A (60 KB per call for the joint model's conv5).
 void sgemm_panel(std::int64_t i0, std::int64_t mb, std::int64_t n,
                  std::int64_t k, float alpha, const float* a, const float* b,
                  float* c, std::vector<float>& a_panel, BlockKernel kernel,
                  const GemmEpilogue& epilogue) {
   for (std::int64_t p0 = 0; p0 < k; p0 += kBlockK) {
     const std::int64_t kb = std::min(kBlockK, k - p0);
-    a_panel.assign(static_cast<std::size_t>(mb * kb), 0.0f);
-    for (std::int64_t i = 0; i < mb; ++i) {
-      const float* src = a + (i0 + i) * k + p0;
-      float* dst = a_panel.data() + i * kb;
-      for (std::int64_t p = 0; p < kb; ++p) dst[p] = alpha * src[p];
+    const float* a_block = a + i0 * k + p0;
+    std::int64_t lda = k;
+    if (alpha != 1.0f) {
+      a_panel.resize(static_cast<std::size_t>(mb * kb));
+      for (std::int64_t i = 0; i < mb; ++i) {
+        const float* src = a + (i0 + i) * k + p0;
+        float* dst = a_panel.data() + i * kb;
+        for (std::int64_t p = 0; p < kb; ++p) dst[p] = alpha * src[p];
+      }
+      a_block = a_panel.data();
+      lda = kb;
     }
     for (std::int64_t j0 = 0; j0 < n; j0 += kBlockN) {
       const std::int64_t nb = std::min(kBlockN, n - j0);
-      kernel(mb, nb, kb, a_panel.data(), kb, b + p0 * n + j0, n,
-             c + i0 * n + j0, n);
+      kernel(mb, nb, kb, a_block, lda, b + p0 * n + j0, n, c + i0 * n + j0,
+             n);
     }
   }
   if (!epilogue.empty()) apply_epilogue(i0, mb, n, c, epilogue);
@@ -733,10 +855,11 @@ void sgemm(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
   // applies the epilogue to its own rows), so they distribute across the
   // pool; the k/n blocking inside one panel stays serial, which keeps each
   // C element's accumulation order — and therefore the result bits —
-  // independent of the thread count. alpha is folded into a scaled copy of
-  // the A panel so the inner kernel stays a pure FMA loop; the scratch
-  // panel is per-thread and reused. The inner kernel is resolved once per
-  // call, so a concurrent set_gemm_tier cannot mix tiers within one GEMM.
+  // independent of the thread count. alpha != 1 is folded into a scaled
+  // copy of the A panel so the inner kernel stays a pure FMA loop; the
+  // scratch panel is per-thread and reused. The inner kernel is resolved
+  // once per call, so a concurrent set_gemm_tier cannot mix tiers within
+  // one GEMM.
   const BlockKernel kernel = active_block_kernel();
   const std::int64_t num_panels = (m + kBlockM - 1) / kBlockM;
   parallel_for(0, num_panels, [&](std::int64_t panel) {

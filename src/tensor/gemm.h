@@ -8,7 +8,8 @@
 // The inner panel kernel is runtime-dispatched: a portable scalar kernel
 // (the bit-reference — its accumulation order has never changed and the
 // determinism tests pin it) and an AVX2+FMA register-blocked kernel picked
-// by CPUID at first use. Within either tier results are bitwise identical
+// by CPUID at first use, which runs 512-bit tiles with identical bits on
+// AVX-512F hosts. Within either tier results are bitwise identical
 // across thread counts and repeated runs; across tiers the f32 kernels
 // agree only to float tolerance (the vector kernel re-associates the k
 // reduction), while igemm is bitwise identical even ACROSS tiers — its
@@ -27,7 +28,9 @@ namespace sne {
 /// Kernel tier for the GEMM panel micro-kernel.
 enum class GemmTier {
   Scalar = 0,   ///< portable unrolled kernel; the determinism bit-reference
-  Avx2Fma = 1,  ///< 6×16 register-blocked AVX2+FMA micro-kernel
+  /// FMA-chain register tiles: 6×16 on ymm, or up to 12×32 on zmm where
+  /// the CPU and OS support AVX-512F (same bits; not a separate tier)
+  Avx2Fma = 1,
 };
 
 /// The tier all GEMM calls currently dispatch to. Resolved once on first

@@ -87,8 +87,9 @@ TEST(GemmDispatch, UnsupportedRequestClampsToScalar) {
   }
 }
 
-// Shape sweep deliberately heavy on ragged tails: the vector kernel tiles
-// rows by 6/4/1 and columns by 16/8/1, so exercise every remainder class.
+// Shape sweep deliberately heavy on ragged tails: the 256-bit kernel tiles
+// rows by 6/4/1 and columns by 16/8/1, the 512-bit one rows in groups of
+// at most 12 and columns by 32/16, so exercise every remainder class.
 class GemmTierParity
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 

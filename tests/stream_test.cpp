@@ -539,7 +539,8 @@ TEST(ScorerSpec, ExactlyOneSourceIsEnforced) {
 // once with the joint tier scoring every candidate (joint-all). These
 // tests rebuild the same nights from the public API, so a change that
 // moves a key fails in ctest, not only in a 40 s benchmark run. The keys
-// are per GEMM tier: tier-1 trains through the active kernels.
+// are per GEMM tier (tier-1 trains through the active kernels) and hold
+// for the Release build, whose flags perfbench uses too.
 
 constexpr std::int64_t kCanaryStamp = 44;
 
@@ -665,6 +666,13 @@ std::pair<CanaryKey, CanaryKey> run_canary(bool with_tier1) {
 
 void expect_canary(GemmTier tier, bool with_tier1, std::uint64_t fp32,
                    std::uint64_t int8) {
+#ifndef SNE_BENCHMARK_FLAGS
+  // Other optimization levels compile the float code (GEMM tail loops,
+  // pooling, signed-log) into different operation sequences, so every key
+  // moves: at -O2, seven of the eight differ. The keys pin the
+  // benchmark's build.
+  GTEST_SKIP() << "canary keys are pinned for the Release build only";
+#endif
   if (!gemm_tier_supported(tier)) {
     GTEST_SKIP() << "no " << gemm_tier_name(tier) << " tier on this CPU";
   }
