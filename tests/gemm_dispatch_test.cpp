@@ -489,17 +489,29 @@ std::vector<std::int8_t> pattern_i8(std::int64_t count, int seed) {
   return v;
 }
 
+// Every s8 value including -128, which pattern_i8 (and quantize_into)
+// never produce: the kernels must stay exact on the full operand range.
+std::vector<std::int8_t> full_range_i8(std::int64_t count, int seed) {
+  std::vector<std::int8_t> v(static_cast<std::size_t>(count));
+  for (std::int64_t i = 0; i < count; ++i) {
+    v[static_cast<std::size_t>(i)] =
+        static_cast<std::int8_t>((i * 37 + seed * 11) % 256 - 128);
+  }
+  return v;
+}
+
 // Ragged sweep: the AVX2 igemm tiles rows by 6 and columns by 16 with an
-// odd-k scalar tail, so cover every remainder class. Unlike the f32
+// odd-k scalar tail, and the VNNI kernel groups rows by up to 12 against
+// 32- and 16-column tiles with masked ragged columns and k padded to a
+// multiple of 4, so cover every remainder class of both. Unlike the f32
 // parity, equality here is EXACT — integer accumulation plus a shared
 // epilogue operation sequence leaves no reassociation slack.
 class IgemmTierParity
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
-TEST_P(IgemmTierParity, TiersAgreeBitwise) {
-  const auto [m, n, k] = GetParam();
-  const auto a = pattern_i8(m * k, m + n);
-  const auto b = pattern_i8(k * n, k);
+void expect_tiers_match_reference(int m, int n, int k,
+                                  const std::vector<std::int8_t>& a,
+                                  const std::vector<std::int8_t>& b) {
   std::vector<float> scale(static_cast<std::size_t>(m));
   std::vector<float> bias(static_cast<std::size_t>(m));
   std::vector<float> prelu(static_cast<std::size_t>(m));
@@ -525,6 +537,18 @@ TEST_P(IgemmTierParity, TiersAgreeBitwise) {
   }
 }
 
+TEST_P(IgemmTierParity, TiersAgreeBitwise) {
+  const auto [m, n, k] = GetParam();
+  expect_tiers_match_reference(m, n, k, pattern_i8(m * k, m + n),
+                               pattern_i8(k * n, k));
+}
+
+TEST_P(IgemmTierParity, FullRangeOperandsAgreeBitwise) {
+  const auto [m, n, k] = GetParam();
+  expect_tiers_match_reference(m, n, k, full_range_i8(m * k, m + n),
+                               full_range_i8(k * n, k));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     ShapeSweep, IgemmTierParity,
     ::testing::Values(std::make_tuple(1, 1, 1), std::make_tuple(3, 5, 7),
@@ -534,6 +558,15 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(30, 16, 500),
                       std::make_tuple(13, 47, 129),
                       std::make_tuple(64, 64, 64)));
+
+// The VNNI kernel's edges: row groups of ≤ 12 (m = 11, 12, 13, 24, 25,
+// 37), 16/32-column tiles with a masked remainder (n = 15 … 47) and every
+// k mod 4 (the k-quad padding).
+INSTANTIATE_TEST_SUITE_P(
+    VnniEdges, IgemmTierParity,
+    ::testing::Combine(::testing::Values(11, 12, 13, 24, 25, 37),
+                       ::testing::Values(15, 17, 31, 33, 47),
+                       ::testing::Values(25, 26, 27, 28)));
 
 TEST(IgemmDispatch, SaturatedOperandsAccumulateExactly) {
   // All-(-127)·(+127) operands drive every k step to the magnitude
@@ -555,6 +588,48 @@ TEST(IgemmDispatch, SaturatedOperandsAccumulateExactly) {
     for (std::int64_t i = 0; i < m * n; ++i) {
       ASSERT_EQ(c.data()[i], want) << gemm_tier_name(tier);
     }
+  }
+}
+
+TEST(IgemmDispatch, LargestKWithExtremeOperandsIsExact) {
+  // At k = kIgemmMaxK every ±127·±127 sum still fits int32, but a kernel
+  // that shifts B to u8 (b + 128 ≤ 255) accumulates up to k·127·255 and
+  // wraps; its row-sum correction must still land on the true value.
+  // Rows of A are all +127, all -127 and alternating; columns of B the
+  // same, so each sign pattern (and the wrap) appears. n = 33 crosses the
+  // 16- and 32-column edges.
+  const std::int64_t m = 3, n = 33, k = kIgemmMaxK;
+  std::vector<std::int8_t> a(static_cast<std::size_t>(m * k));
+  std::vector<std::int8_t> b(static_cast<std::size_t>(k * n));
+  const auto extreme = [](std::int64_t pattern, std::int64_t p) {
+    const std::int8_t sign = pattern == 0 ? 1 : pattern == 1 ? -1
+                             : (p % 2 == 0 ? 1 : -1);
+    return static_cast<std::int8_t>(127 * sign);
+  };
+  for (std::int64_t p = 0; p < k; ++p) {
+    for (std::int64_t i = 0; i < m; ++i) {
+      a[static_cast<std::size_t>(i * k + p)] = extreme(i, p);
+    }
+    for (std::int64_t j = 0; j < n; ++j) {
+      b[static_cast<std::size_t>(p * n + j)] = extreme(j % 3, p);
+    }
+  }
+  std::vector<float> scale(static_cast<std::size_t>(m), 1.0f);
+  const IgemmEpilogue ep{scale.data(), nullptr, nullptr};
+  const Tensor ref = igemm_reference(m, n, k, a.data(), b.data(), ep);
+  // Same-sign row and column: +k·127², the int32 extreme.
+  ASSERT_EQ(ref.data()[0], static_cast<float>(k * 127 * 127));
+
+  TierGuard guard;
+  for (const GemmTier tier : {GemmTier::Scalar, GemmTier::Avx2Fma}) {
+    if (!gemm_tier_supported(tier)) continue;
+    set_gemm_tier(tier);
+    Tensor c({m, n});
+    igemm(m, n, k, a.data(), b.data(), c.data(), ep);
+    EXPECT_TRUE(c.equals(ref)) << gemm_tier_name(tier);
+    Tensor c_serial({m, n});
+    igemm_serial(m, n, k, a.data(), b.data(), c_serial.data(), ep);
+    EXPECT_TRUE(c_serial.equals(ref)) << "serial " << gemm_tier_name(tier);
   }
 }
 
