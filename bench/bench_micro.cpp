@@ -128,6 +128,42 @@ void BM_ConvGemmShape(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvGemmShape)->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1}});
 
+// The int8 serving path's conv GEMMs at the same shapes: igemm_serial with
+// the requant + PReLU epilogue, scalar (0) vs AVX2 (1) tier. Both tiers
+// produce identical bytes, so the pair only tracks speed.
+void BM_ConvIgemmShape(benchmark::State& state) {
+  const ConvGemmShape& s = kConvGemmShapes[state.range(0)];
+  const auto tier = static_cast<GemmTier>(state.range(1));
+  if (!gemm_tier_supported(tier)) {
+    state.SkipWithError("kernel tier not supported on this CPU");
+    return;
+  }
+  const GemmTier prev = gemm_tier();
+  set_gemm_tier(tier);
+  std::vector<std::int8_t> a(static_cast<std::size_t>(s.m * s.k));
+  std::vector<std::int8_t> b(static_cast<std::size_t>(s.k * s.n));
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    a[i] = static_cast<std::int8_t>(static_cast<int>(i * 31 + 7) % 255 - 127);
+  }
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    b[i] = static_cast<std::int8_t>(static_cast<int>(i * 17 + 3) % 255 - 127);
+  }
+  const std::vector<float> scale(static_cast<std::size_t>(s.m), 0.01f);
+  const std::vector<float> bias(static_cast<std::size_t>(s.m), -0.1f);
+  const std::vector<float> slope(static_cast<std::size_t>(s.m), 0.25f);
+  Tensor c({s.m, s.n});
+  const IgemmEpilogue ep{scale.data(), bias.data(), slope.data()};
+  for (auto _ : state) {
+    igemm_serial(s.m, s.n, s.k, a.data(), b.data(), c.data(), ep);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * s.m * s.n * s.k);
+  state.SetLabel(std::string(s.name) + " " + gemm_tier_name(tier));
+  set_gemm_tier(prev);
+}
+BENCHMARK(BM_ConvIgemmShape)->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1}});
+
 // Int8 kernel-tier pairs: the saturating s8×s8→s32 GEMM with requant
 // epilogue, scalar (0) vs AVX2 (1). Integer accumulation is exact, so
 // unlike the fp32 pair both tiers produce identical bytes — the pair

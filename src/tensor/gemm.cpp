@@ -409,6 +409,19 @@ bool cpu_has_avx512f() noexcept {
 #endif
 }
 
+// The VNNI int8 kernel's instructions: vpdpbusd on zmm (avx512vnni), byte
+// masks and shuffles (avx512bw) and their 128/256-bit forms (avx512vl).
+bool cpu_has_avx512_vnni() noexcept {
+#if SNE_GEMM_X86
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512vnni") &&
+         __builtin_cpu_supports("avx512bw") &&
+         __builtin_cpu_supports("avx512vl");
+#else
+  return false;
+#endif
+}
+
 // -1 = unresolved; otherwise a GemmTier value. Resolution happens at most
 // once per process unless set_gemm_tier overrides it.
 std::atomic<int> g_gemm_tier{-1};
@@ -768,11 +781,239 @@ void igemm_rows_avx2(std::int64_t i0, std::int64_t i1, std::int64_t n,
   }
 }
 
+// The Avx2Fma tier's int8 kernel on AVX-512 VNNI hosts. vpdpbusd multiplies
+// u8 by s8 and adds each 4-product group straight into an int32 lane
+// (no i16 intermediate sum, so unlike maddubs nothing saturates), so B is
+// shifted to u8 as b ^ 0x80 = b + 128 and A stays s8:
+//   Σ (b + 128)·a = Σ a·b + 128·Σ a.
+// Each accumulator starts at −128·Σₚ a[i][p] for its row, so it ends at
+// the exact Σ a·b. vpdpbusd wraps modulo 2³² and the start value is
+// computed in uint32, so every step is exact mod 2³²; the true sum fits
+// int32 for k ≤ kIgemmMaxK, hence the int32 result is exact even where the
+// shifted sum alone wraps (k > 65,793). A signed 128·Σa would overflow
+// near kIgemmMaxK. The requant epilogue is the same per-element sequence
+// as every other igemm path, so the kernel choice moves no bit.
+
+// GCC 12's AVX-512 intrinsics pass _mm512_undefined_*() as the merge
+// operand of their unmasked forms, which -Wuninitialized reports once
+// inlined; under a full mask that operand is never read.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+// Byte transpose inside each 128-bit lane: 4 dwords (4 B rows × 4
+// columns) become 4 columns × 4 k bytes, the k-quad order vpdpbusd reads.
+__attribute__((target("avx512f,avx512bw"))) inline __m512i
+igemm_quads_vnni(__m512i rows_by_lane) {
+  // Output byte 4c + r takes input byte 4r + c.
+  const __m512i order = _mm512_setr4_epi32(0x0c080400, 0x0d090501,
+                                           0x0e0a0602, 0x0f0b0703);
+  return _mm512_xor_si512(_mm512_shuffle_epi8(rows_by_lane, order),
+                          _mm512_set1_epi8(static_cast<char>(0x80)));
+}
+
+// Row p of B's columns [j, j + 32), masked to the `cols` that exist;
+// zero for p ≥ k (the padding rows of the last k-quad).
+__attribute__((target("avx512f,avx512bw,avx512vl"))) inline __m256i
+igemm_b_row_vnni(const std::int8_t* b, std::int64_t n, std::int64_t k,
+                 std::int64_t p, std::int64_t j, __mmask32 cols) {
+  return p < k ? _mm256_maskz_loadu_epi8(cols, b + p * n + j)
+               : _mm256_setzero_si256();
+}
+
+// Packs B columns [j, j + 32) ∩ [0, n) into k-quads of u8: for quad q,
+// 64 bytes per 16 columns, column c's 4 bytes being rows 4q..4q+3 plus
+// 128. Ragged columns load masked (their packed lanes are never stored)
+// and rows past k load as zero, against zero A padding.
+__attribute__((target("avx512f,avx512bw,avx512vl"))) void igemm_pack_b_vnni(
+    const std::int8_t* b, std::int64_t n, std::int64_t k, std::int64_t j,
+    std::int64_t kq, std::uint8_t* dst) {
+  const std::int64_t w = std::min<std::int64_t>(32, n - j);
+  const __mmask32 cols = w >= 32 ? ~__mmask32{0} : (__mmask32{1} << w) - 1;
+  // Lanes of x: row 0 cols 0-15, row 0 cols 16-31, row 1 cols 0-15, row 1
+  // cols 16-31; y likewise rows 2 and 3. lo/hi gather, per lane g, the
+  // four rows' dword g of the low/high 16 columns.
+  const __m512i lo = _mm512_setr_epi32(0, 8, 16, 24, 1, 9, 17, 25, 2, 10, 18,
+                                       26, 3, 11, 19, 27);
+  const __m512i hi = _mm512_setr_epi32(4, 12, 20, 28, 5, 13, 21, 29, 6, 14, 22,
+                                       30, 7, 15, 23, 31);
+  for (std::int64_t q = 0; q < kq; ++q) {
+    const std::int64_t p = 4 * q;
+    const __m256i r0 = igemm_b_row_vnni(b, n, k, p, j, cols);
+    const __m256i r1 = igemm_b_row_vnni(b, n, k, p + 1, j, cols);
+    const __m256i r2 = igemm_b_row_vnni(b, n, k, p + 2, j, cols);
+    const __m256i r3 = igemm_b_row_vnni(b, n, k, p + 3, j, cols);
+    const __m512i x = _mm512_inserti64x4(_mm512_castsi256_si512(r0), r1, 1);
+    const __m512i y = _mm512_inserti64x4(_mm512_castsi256_si512(r2), r3, 1);
+    const __m512i rows_lo = _mm512_permutex2var_epi32(x, lo, y);
+    const __m512i rows_hi = _mm512_permutex2var_epi32(x, hi, y);
+    _mm512_store_si512(dst + q * 128, igemm_quads_vnni(rows_lo));
+    _mm512_store_si512(dst + q * 128 + 64, igemm_quads_vnni(rows_hi));
+  }
+}
+
+// The requant epilogue of one finished VNNI tile (`rows` × 16·V int32,
+// row stride 16·V): convert, vfmaddps scale and bias, PReLU select — per
+// element the same IEEE sequence as igemm_requant_tile — and a store
+// masked to the `last` columns of the final vector. `c` and the `ep`
+// pointers start at the tile's first row.
+template <int V>
+__attribute__((target("avx512f"))) inline void igemm_requant_vnni(
+    const std::int32_t* tile, std::int64_t rows, float* c, std::int64_t ldc,
+    __mmask16 last, const IgemmEpilogue& ep) {
+  const __m512 zero = _mm512_setzero_ps();
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const __m512 scale = _mm512_set1_ps(ep.scale[r]);
+    const __m512 bias = _mm512_set1_ps(ep.bias != nullptr ? ep.bias[r] : 0.0f);
+    float* row = c + r * ldc;
+    for (int v = 0; v < V; ++v) {
+      const __m512i acc = _mm512_load_si512(tile + (r * V + v) * 16);
+      __m512 x = _mm512_fmadd_ps(_mm512_cvtepi32_ps(acc), scale, bias);
+      if (ep.prelu != nullptr) {
+        const __mmask16 pos = _mm512_cmp_ps_mask(x, zero, _CMP_GT_OQ);
+        x = _mm512_mask_mul_ps(x, static_cast<__mmask16>(~pos), x,
+                               _mm512_set1_ps(ep.prelu[r]));
+      }
+      _mm512_mask_storeu_ps(row + 16 * v, v == V - 1 ? last : 0xffff, x);
+    }
+  }
+}
+
+// R rows × 16·V columns over kq k-quads: each A quad is broadcast (as a
+// dword, the s8 operand) against the packed u8 B. `start` holds each
+// row's −128·Σa (see above). The finished accumulators are stored to a
+// stack tile for the requant: converting them in place makes GCC spill
+// them inside the k loop.
+template <int R, int V>
+__attribute__((target("avx512f,avx512bw,avx512vl,avx512vnni"))) inline void
+igemm_tile_vnni(std::int64_t kq, const std::int32_t* ap,
+                const std::int32_t* start, const std::uint8_t* bp, float* c,
+                std::int64_t ldc, __mmask16 last, const IgemmEpilogue& ep) {
+  __m512i acc[R][V];
+#pragma GCC unroll 12
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) acc[r][v] = _mm512_set1_epi32(start[r]);
+  }
+  for (std::int64_t q = 0; q < kq; ++q) {
+    __m512i bv[V];
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) {
+      bv[v] = _mm512_load_si512(bp + q * 128 + 64 * v);
+    }
+#pragma GCC unroll 12
+    for (int r = 0; r < R; ++r) {
+      const __m512i av = _mm512_set1_epi32(ap[r * kq + q]);
+#pragma GCC unroll 2
+      for (int v = 0; v < V; ++v) {
+        acc[r][v] = _mm512_dpbusd_epi32(acc[r][v], bv[v], av);
+      }
+    }
+  }
+  alignas(64) std::int32_t tile[R * V * 16];
+#pragma GCC unroll 12
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) {
+      _mm512_store_si512(tile + (r * V + v) * 16, acc[r][v]);
+    }
+  }
+  igemm_requant_vnni<V>(tile, R, c, ldc, last, ep);
+}
+
+template <int V>
+__attribute__((target("avx512f,avx512bw,avx512vl,avx512vnni"))) void
+igemm_rows_tile_vnni(std::int64_t rows, std::int64_t kq,
+                     const std::int32_t* ap, const std::int32_t* start,
+                     const std::uint8_t* bp, float* c, std::int64_t ldc,
+                     __mmask16 last, const IgemmEpilogue& ep) {
+  switch (rows) {
+    case 1: igemm_tile_vnni<1, V>(kq, ap, start, bp, c, ldc, last, ep); break;
+    case 2: igemm_tile_vnni<2, V>(kq, ap, start, bp, c, ldc, last, ep); break;
+    case 3: igemm_tile_vnni<3, V>(kq, ap, start, bp, c, ldc, last, ep); break;
+    case 4: igemm_tile_vnni<4, V>(kq, ap, start, bp, c, ldc, last, ep); break;
+    case 5: igemm_tile_vnni<5, V>(kq, ap, start, bp, c, ldc, last, ep); break;
+    case 6: igemm_tile_vnni<6, V>(kq, ap, start, bp, c, ldc, last, ep); break;
+    case 7: igemm_tile_vnni<7, V>(kq, ap, start, bp, c, ldc, last, ep); break;
+    case 8: igemm_tile_vnni<8, V>(kq, ap, start, bp, c, ldc, last, ep); break;
+    case 9: igemm_tile_vnni<9, V>(kq, ap, start, bp, c, ldc, last, ep); break;
+    case 10: igemm_tile_vnni<10, V>(kq, ap, start, bp, c, ldc, last, ep); break;
+    case 11: igemm_tile_vnni<11, V>(kq, ap, start, bp, c, ldc, last, ep); break;
+    default: igemm_tile_vnni<12, V>(kq, ap, start, bp, c, ldc, last, ep); break;
+  }
+}
+
+constexpr std::int64_t kIgemmVnniMaxRows = 12;
+
+// Rows go in near-equal groups of ≤ 12 (m = 10, 20, 30 → 10, 10+10,
+// 10+10+10) against 32- and 16-column tiles: 2·12 accumulators + 2 B
+// vectors + 1 broadcast fit the 32 zmm registers. Column strips are
+// outermost, so each packed strip (≤ 128·kq bytes) is reused by every row
+// group while it is cache-hot. Ragged columns run the same tiles with a
+// masked final store; there is no scalar tail.
+void igemm_rows_vnni(std::int64_t i0, std::int64_t i1, std::int64_t n,
+                     std::int64_t k, const std::int8_t* a,
+                     const std::int8_t* b, float* c, const IgemmEpilogue& ep,
+                     std::vector<std::int32_t>& apack,
+                     std::vector<std::int16_t>& bpack) {
+  // A rows as dword k-quads (zero-padded past k), then one start value
+  // per row.
+  const std::int64_t kq = (k + 3) / 4;
+  const std::int64_t rows_total = i1 - i0;
+  apack.resize(static_cast<std::size_t>(rows_total * (kq + 1)));
+  std::int32_t* start = apack.data() + rows_total * kq;
+  for (std::int64_t r = 0; r < rows_total; ++r) {
+    const std::int8_t* ar = a + (i0 + r) * k;
+    std::int32_t* quads = apack.data() + r * kq;
+    if (kq > 0) quads[kq - 1] = 0;  // the zero bytes past k
+    std::memcpy(quads, ar, static_cast<std::size_t>(k));
+    std::int32_t sum = 0;  // |Σa| ≤ 128·kIgemmMaxK, far inside int32
+    for (std::int64_t p = 0; p < k; ++p) sum += ar[p];
+    start[r] = static_cast<std::int32_t>(0u - 128u *
+                                         static_cast<std::uint32_t>(sum));
+  }
+  // 64-byte aligned strip buffer: 128 bytes per quad, + 64 of alignment
+  // slack.
+  bpack.resize(static_cast<std::size_t>(kq * 64 + 32));
+  auto* bbuf = reinterpret_cast<std::uint8_t*>(bpack.data());
+  bbuf += (64 - reinterpret_cast<std::uintptr_t>(bbuf) % 64) % 64;
+
+  const std::int64_t groups =
+      (rows_total + kIgemmVnniMaxRows - 1) / kIgemmVnniMaxRows;
+  for (std::int64_t j = 0; j < n; j += 32) {
+    const std::int64_t w = std::min<std::int64_t>(32, n - j);
+    const bool wide = w > 16;
+    igemm_pack_b_vnni(b, n, k, j, kq, bbuf);
+    const std::int64_t tail = wide ? w - 16 : w;
+    const auto last = static_cast<__mmask16>((1u << tail) - 1);
+    std::int64_t r = 0;
+    for (std::int64_t g = 0; g < groups; ++g) {
+      const std::int64_t rows = (rows_total - r) / (groups - g);
+      const std::int64_t i = i0 + r;
+      const IgemmEpilogue group_ep{
+          ep.scale + i, ep.bias != nullptr ? ep.bias + i : nullptr,
+          ep.prelu != nullptr ? ep.prelu + i : nullptr};
+      const std::int32_t* ap = apack.data() + r * kq;
+      float* ct = c + i * n + j;
+      if (wide) {
+        igemm_rows_tile_vnni<2>(rows, kq, ap, start + r, bbuf, ct, n, last,
+                                group_ep);
+      } else {
+        igemm_rows_tile_vnni<1>(rows, kq, ap, start + r, bbuf, ct, n, last,
+                                group_ep);
+      }
+      r += rows;
+    }
+  }
+}
+
+#pragma GCC diagnostic pop
+
 #endif  // SNE_GEMM_X86
 
 // Shared panel driver of igemm/igemm_serial: rows [i0, i1) of C at the
 // given tier. `apack`/`bpack` are caller-owned (per-thread) scratch for
-// the AVX2 pre-packs; the scalar tier does not touch them.
+// the vector kernels' pre-packs; the scalar tier does not touch them.
 void igemm_rows(GemmTier tier, std::int64_t i0, std::int64_t i1,
                 std::int64_t n, std::int64_t k, const std::int8_t* a,
                 const std::int8_t* b, float* c, const IgemmEpilogue& ep,
@@ -780,7 +1021,11 @@ void igemm_rows(GemmTier tier, std::int64_t i0, std::int64_t i1,
                 std::vector<std::int16_t>& bpack) {
 #if SNE_GEMM_X86
   if (tier == GemmTier::Avx2Fma) {
-    igemm_rows_avx2(i0, i1, n, k, a, b, c, ep, apack, bpack);
+    // Exact integer accumulation either way, so the same bits; chosen once.
+    using RowsKernel = decltype(&igemm_rows_avx2);
+    static const RowsKernel kernel =
+        cpu_has_avx512_vnni() ? igemm_rows_vnni : igemm_rows_avx2;
+    kernel(i0, i1, n, k, a, b, c, ep, apack, bpack);
     return;
   }
 #else

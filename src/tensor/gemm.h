@@ -9,7 +9,9 @@
 // (the bit-reference — its accumulation order has never changed and the
 // determinism tests pin it) and an AVX2+FMA register-blocked kernel picked
 // by CPUID at first use, which runs 512-bit tiles with identical bits on
-// AVX-512F hosts. Within either tier results are bitwise identical
+// AVX-512F hosts, and whose int8 kernel uses vpdpbusd on AVX-512 VNNI
+// hosts (exact, so again the same bits). Within either tier results are
+// bitwise identical
 // across thread counts and repeated runs; across tiers the f32 kernels
 // agree only to float tolerance (the vector kernel re-associates the k
 // reduction), while igemm is bitwise identical even ACROSS tiers — its
@@ -29,7 +31,8 @@ namespace sne {
 enum class GemmTier {
   Scalar = 0,   ///< portable unrolled kernel; the determinism bit-reference
   /// FMA-chain register tiles: 6×16 on ymm, or up to 12×32 on zmm where
-  /// the CPU and OS support AVX-512F (same bits; not a separate tier)
+  /// the CPU and OS support AVX-512F; int8 via madd_epi16, or vpdpbusd
+  /// where AVX-512 VNNI/BW/VL are present (same bits; not separate tiers)
   Avx2Fma = 1,
 };
 
@@ -142,8 +145,16 @@ constexpr std::int64_t kIgemmMaxK = (std::int64_t{1} << 31) / (127 * 127) - 1;
 /// and reruns — a strictly stronger guarantee than the f32 within-tier
 /// contract. The AVX2 tier deliberately avoids the classic `maddubs`
 /// u8×s8 path: its pairwise i16 sums saturate (2·127·255 > 2¹⁵), which
-/// would silently break exactness; it sign-extends to i16 and uses
-/// madd_epi16 on k-pairs instead, which cannot overflow.
+/// would silently break exactness. Its AVX2 kernel sign-extends to i16
+/// and uses madd_epi16 on k-pairs instead, which cannot overflow. On
+/// AVX-512 VNNI hosts (avx512vnni + avx512bw + avx512vl) the same tier
+/// runs vpdpbusd, which adds u8×s8 k-quads straight into int32 lanes
+/// (nothing saturates): B is shifted to u8 as b + 128 (b ^ 0x80) and each
+/// row's accumulator starts at −128·Σₚ a[i][p], so it ends at Σ a·b. Both
+/// wrap modulo 2³² and the true sum fits int32 for k ≤ kIgemmMaxK, so the
+/// result is exact even where the shifted sum alone wraps (k > 65,793).
+/// The kernel is chosen once per process and has no setting: it cannot
+/// change a bit.
 void igemm(std::int64_t m, std::int64_t n, std::int64_t k,
            const std::int8_t* a, const std::int8_t* b, float* c,
            const IgemmEpilogue& epilogue);
