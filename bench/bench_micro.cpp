@@ -128,6 +128,17 @@ void BM_ConvGemmShape(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvGemmShape)->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1}});
 
+// Deterministic int8 operands in [-127, 127], the range quantize_into
+// produces.
+std::vector<std::int8_t> pattern_i8(std::int64_t count, int mul, int add) {
+  std::vector<std::int8_t> v(static_cast<std::size_t>(count));
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = static_cast<std::int8_t>(static_cast<int>(i * mul + add) % 255 -
+                                    127);
+  }
+  return v;
+}
+
 // The int8 serving path's conv GEMMs at the same shapes: igemm_serial with
 // the requant + PReLU epilogue, scalar (0) vs AVX2 (1) tier. Both tiers
 // produce identical bytes, so the pair only tracks speed.
@@ -140,14 +151,8 @@ void BM_ConvIgemmShape(benchmark::State& state) {
   }
   const GemmTier prev = gemm_tier();
   set_gemm_tier(tier);
-  std::vector<std::int8_t> a(static_cast<std::size_t>(s.m * s.k));
-  std::vector<std::int8_t> b(static_cast<std::size_t>(s.k * s.n));
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a[i] = static_cast<std::int8_t>(static_cast<int>(i * 31 + 7) % 255 - 127);
-  }
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    b[i] = static_cast<std::int8_t>(static_cast<int>(i * 17 + 3) % 255 - 127);
-  }
+  const auto a = pattern_i8(s.m * s.k, 31, 7);
+  const auto b = pattern_i8(s.k * s.n, 17, 3);
   const std::vector<float> scale(static_cast<std::size_t>(s.m), 0.01f);
   const std::vector<float> bias(static_cast<std::size_t>(s.m), -0.1f);
   const std::vector<float> slope(static_cast<std::size_t>(s.m), 0.25f);
@@ -178,12 +183,8 @@ void BM_IgemmKernelTier(benchmark::State& state) {
   }
   const GemmTier prev = gemm_tier();
   set_gemm_tier(tier);
-  std::vector<std::int8_t> a(static_cast<std::size_t>(n * n));
-  std::vector<std::int8_t> b(static_cast<std::size_t>(n * n));
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a[i] = static_cast<std::int8_t>(static_cast<int>(i * 31 + 7) % 255 - 127);
-    b[i] = static_cast<std::int8_t>(static_cast<int>(i * 17 + 3) % 255 - 127);
-  }
+  const auto a = pattern_i8(n * n, 31, 7);
+  const auto b = pattern_i8(n * n, 17, 3);
   const std::vector<float> scale(static_cast<std::size_t>(n), 0.01f);
   Tensor c({n, n});
   const IgemmEpilogue ep{scale.data(), nullptr, nullptr};
