@@ -11,14 +11,13 @@
 // by CPUID at first use, which runs 512-bit tiles with identical bits on
 // AVX-512F hosts, and whose int8 kernel uses vpdpbusd on AVX-512 VNNI
 // hosts (exact, so again the same bits). Within either tier results are
-// bitwise identical
-// across thread counts and repeated runs; across tiers the f32 kernels
-// agree only to float tolerance (the vector kernel re-associates the k
-// reduction), while igemm is bitwise identical even ACROSS tiers — its
-// accumulation is exact integer arithmetic, and the scalar and AVX2
-// requantization epilogues run the same per-element IEEE operation
-// sequence (convert, fused multiply-add, PReLU select), so they produce
-// the same bits.
+// bitwise identical across thread counts and repeated runs; across tiers
+// the f32 kernels agree only to float tolerance (the vector kernel
+// re-associates the k reduction), while igemm is bitwise identical even
+// ACROSS tiers — its accumulation is exact integer arithmetic, and the
+// scalar and AVX2 requantization epilogues run the same per-element IEEE
+// operation sequence (convert, fused multiply-add, PReLU select), so they
+// produce the same bits.
 // Force a tier with SNE_GEMM_KERNEL=scalar|avx2|auto or set_gemm_tier();
 // an unrecognized value warns once on stderr and resolves like "auto".
 #pragma once

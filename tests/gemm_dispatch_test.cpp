@@ -489,8 +489,8 @@ std::vector<std::int8_t> pattern_i8(std::int64_t count, int seed) {
   return v;
 }
 
-// Every s8 value including -128, which pattern_i8 (and quantize_into)
-// never produce: the kernels must stay exact on the full operand range.
+// Operands over the full s8 range, -128 included, which pattern_i8 (and
+// quantize_into) never produce: the kernels must stay exact on all of it.
 std::vector<std::int8_t> full_range_i8(std::int64_t count, int seed) {
   std::vector<std::int8_t> v(static_cast<std::size_t>(count));
   for (std::int64_t i = 0; i < count; ++i) {
