@@ -11,12 +11,16 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <new>
 #include <tuple>
 #include <vector>
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include "nn/conv2d.h"
 #include "nn/pooling.h"
@@ -392,6 +396,240 @@ TEST(GemmDispatch, Avx2TierVectorColumnsAreFmaChainsInKOrder) {
     }
   }
   EXPECT_GT(checked, 0);
+}
+
+// ---- fp32 conv serving entry ----
+//
+// Conv2d::infer_with must produce exactly the bits of the explicit
+// im2col + sgemm_serial + (bias, PReLU) epilogue lowering, whatever kernel
+// the tier runs for the shape. The sweep crosses kBlockK (k = 275, 500),
+// output rows narrower than, equal to and wider than a 16-lane vector
+// (rows breaking inside a vector), output pixel counts with and without
+// out_h·out_w % 8 == 0, the 12-row output-channel groups, and the
+// stride/pad lowerings that never leave im2col.
+
+struct ConvCase {
+  std::int64_t cin, h, w, cout, stride, pad;
+  int epilogue;  // 0 none, 1 bias, 2 bias + PReLU
+};
+
+// The operands of one conv case, in splitmix64 values like PinCase.
+struct ConvOperands {
+  Tensor x, weight, bias, slope;
+  ConvOperands(const ConvCase& s, std::int64_t batch, std::int64_t kernel) {
+    PinValues v{static_cast<std::uint64_t>(
+        ((s.cin * 64 + s.h) * 64 + s.w) * 64 + s.cout)};
+    x = Tensor({batch, s.cin, s.h, s.w});
+    weight = Tensor({s.cout, s.cin * kernel * kernel});
+    bias = Tensor({s.cout});
+    slope = Tensor({s.cout});
+    for (Tensor* t : {&x, &weight, &bias, &slope}) {
+      const auto values = v.fill(t->size());
+      std::copy(values.begin(), values.end(), t->data());
+    }
+  }
+};
+
+// The lowering Conv2d::infer_with replaced: per image, im2col then
+// sgemm_serial with the fused epilogue.
+Tensor conv_by_im2col(const ConvCase& s, const ConvOperands& in,
+                      std::int64_t kernel) {
+  const std::int64_t batch = in.x.extent(0);
+  const std::int64_t oh = conv_out_extent(s.h, kernel, s.pad, s.stride);
+  const std::int64_t ow = conv_out_extent(s.w, kernel, s.pad, s.stride);
+  const std::int64_t k = s.cin * kernel * kernel;
+  Tensor out({batch, s.cout, oh, ow});
+  std::vector<float> cols(static_cast<std::size_t>(k * oh * ow));
+  const GemmEpilogue ep{s.epilogue >= 1 ? in.bias.data() : nullptr,
+                        s.epilogue == 2 ? in.slope.data() : nullptr};
+  for (std::int64_t i = 0; i < batch; ++i) {
+    im2col(in.x.data() + i * s.cin * s.h * s.w, s.cin, s.h, s.w, kernel,
+           kernel, s.pad, s.stride, cols.data());
+    sgemm_serial(s.cout, oh * ow, k, 1.0f, in.weight.data(), cols.data(),
+                 0.0f, out.data() + i * s.cout * oh * ow, ep);
+  }
+  return out;
+}
+
+// Conv2d::infer_with with the case's weights. Without a bias the layer
+// gets a zero one and the reference none. That changes no bit: x + 0 == x
+// except at x = -0, and a sum that starts at +0 ends at -0 only through an
+// underflow, which these operands (multiples of 2^-23 in [-1, 1)) cannot
+// produce.
+Tensor conv_by_layer(const ConvCase& s, const ConvOperands& in,
+                     std::int64_t kernel) {
+  Rng rng(1);
+  const nn::Conv2d conv(s.cin, s.cout, kernel, rng, s.stride, s.pad);
+  const Tensor zero_bias({s.cout});
+  Tensor out;
+  conv.infer_with(in.weight, s.epilogue >= 1 ? in.bias : zero_bias, in.x, out,
+                  s.epilogue == 2 ? &in.slope : nullptr);
+  return out;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<std::size_t>(a.size())) == 0;
+}
+
+TEST(GemmDispatch, DirectConvMatchesIm2colGemmBitwise) {
+  if (!vector_tier_available()) GTEST_SKIP() << "no AVX2+FMA on this CPU";
+  TierGuard guard;
+  set_gemm_tier(GemmTier::Avx2Fma);
+  constexpr std::int64_t kKernel = 5;
+  constexpr std::int64_t kBatch = 2;
+  // (H, W): out_w < 16 (gathers), = 16, > 16 with row breaks inside a
+  // vector; out_h·out_w % 8 == 0 or not; 32-lane strips with 8-, 16- and
+  // 24-lane tails.
+  constexpr std::int64_t kHw[][2] = {
+      {6, 6},   {8, 8},   {10, 8},  {12, 12}, {44, 9},  {20, 20},
+      {21, 20}, {8, 22},  {24, 22}, {7, 28},  {9, 44},  {21, 21},
+      {13, 17}, {30, 13}, {44, 44},
+  };
+  constexpr std::int64_t kCin[] = {1, 3, 8, 10, 11, 20};
+  constexpr std::int64_t kCout[] = {1, 8, 10, 12, 13, 20, 30, 37};
+  std::vector<ConvCase> cases;
+  int rotate = 0;
+  for (const std::int64_t cin : kCin) {
+    for (const auto& hw : kHw) {
+      for (const std::int64_t cout : kCout) {
+        cases.push_back({cin, hw[0], hw[1], cout, 1, 0, rotate++ % 3});
+      }
+    }
+  }
+  // Lowerings that stay on im2col whatever the shape.
+  for (const std::int64_t cout : {std::int64_t{10}, std::int64_t{13}}) {
+    cases.push_back({3, 12, 12, cout, 1, 2, 2});
+    cases.push_back({3, 20, 20, cout, 2, 0, 2});
+    cases.push_back({3, 21, 21, cout, 2, 1, 1});
+  }
+
+  std::int64_t fma_checked = 0;
+  for (const ConvCase& s : cases) {
+    const ConvOperands in(s, kBatch, kKernel);
+    const Tensor want = conv_by_im2col(s, in, kKernel);
+    const Tensor got = conv_by_layer(s, in, kKernel);
+    ASSERT_TRUE(same_bits(got, want))
+        << "cin=" << s.cin << " h=" << s.h << " w=" << s.w
+        << " cout=" << s.cout << " stride=" << s.stride << " pad=" << s.pad
+        << " epilogue=" << s.epilogue;
+
+    // Where no output falls in a scalar-tail column of the lowering, each
+    // output is one fmaf chain over k = (ci, ky, kx) ascending from +0,
+    // then the bias add, then the PReLU select.
+    const std::int64_t oh = conv_out_extent(s.h, kKernel, s.pad, s.stride);
+    const std::int64_t ow = conv_out_extent(s.w, kKernel, s.pad, s.stride);
+    if (s.stride != 1 || s.pad != 0 || oh * ow % 8 != 0) continue;
+    const std::int64_t k = s.cin * kKernel * kKernel;
+    std::vector<std::int64_t> tap(static_cast<std::size_t>(k));
+    for (std::int64_t p = 0; p < k; ++p) {
+      const std::int64_t ci = p / (kKernel * kKernel);
+      tap[static_cast<std::size_t>(p)] =
+          (ci * s.h + p / kKernel % kKernel) * s.w + p % kKernel;
+    }
+    for (std::int64_t i = 0; i < kBatch; ++i) {
+      const float* img = in.x.data() + i * s.cin * s.h * s.w;
+      for (std::int64_t co = 0; co < s.cout; ++co) {
+        const float* wr = in.weight.data() + co * k;
+        for (std::int64_t oy = 0; oy < oh; ++oy) {
+          for (std::int64_t ox = 0; ox < ow; ++ox) {
+            const float* at = img + oy * s.w + ox;
+            float acc = 0.0f;
+            for (std::int64_t p = 0; p < k; ++p) {
+              acc = std::fmaf(wr[p], at[tap[static_cast<std::size_t>(p)]], acc);
+            }
+            if (s.epilogue >= 1) acc += in.bias.data()[co];
+            if (s.epilogue == 2) {
+              acc = acc > 0.0f ? acc : in.slope.data()[co] * acc;
+            }
+            const float g = got.data()[((i * s.cout + co) * oh + oy) * ow + ox];
+            ASSERT_EQ(std::memcmp(&g, &acc, sizeof(float)), 0)
+                << "cin=" << s.cin << " h=" << s.h << " w=" << s.w
+                << " cout=" << s.cout << " image=" << i << " co=" << co
+                << " oy=" << oy << " ox=" << ox;
+            ++fma_checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(fma_checked, 0);
+}
+
+// An anonymous mapping whose last `bytes` of readable memory sit flush
+// against a PROT_NONE page, so any read past them faults in every build.
+// ASan cannot see masked vector loads or gathers; this can.
+class GuardedBuffer {
+ public:
+  explicit GuardedBuffer(std::size_t bytes) {
+    const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    data_pages_ = (bytes + page - 1) / page * page;
+    size_ = data_pages_ + page;
+    base_ = mmap(nullptr, size_, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (base_ == MAP_FAILED) {
+      base_ = nullptr;
+      return;
+    }
+    if (mprotect(static_cast<char*>(base_) + data_pages_, page, PROT_NONE) !=
+        0) {
+      munmap(base_, size_);
+      base_ = nullptr;
+      return;
+    }
+    end_ = static_cast<char*>(base_) + data_pages_;
+  }
+  ~GuardedBuffer() {
+    if (base_ != nullptr) munmap(base_, size_);
+  }
+  GuardedBuffer(const GuardedBuffer&) = delete;
+  GuardedBuffer& operator=(const GuardedBuffer&) = delete;
+
+  bool ok() const { return base_ != nullptr; }
+  /// `count` floats ending exactly at the guard page.
+  float* tail_floats(std::int64_t count) const {
+    return reinterpret_cast<float*>(end_) - count;
+  }
+
+ private:
+  void* base_ = nullptr;
+  char* end_ = nullptr;
+  std::size_t data_pages_ = 0;
+  std::size_t size_ = 0;
+};
+
+TEST(GemmDispatch, DirectConvNeverReadsPastTheImage) {
+  if (!vector_tier_available()) GTEST_SKIP() << "no AVX2+FMA on this CPU";
+  TierGuard guard;
+  set_gemm_tier(GemmTier::Avx2Fma);
+  constexpr std::int64_t kKernel = 5;
+  // (8, 22): rows of 18 outputs break inside vectors and the 72 outputs
+  // end in an 8-lane tail; (10, 8): rows of 4 outputs are gathered and the
+  // 24 outputs end in an 8-lane tail. In both, the last tap of the last
+  // output reads the image's last float.
+  const ConvCase shapes[] = {{3, 8, 22, 10, 1, 0, 2}, {20, 10, 8, 30, 1, 0, 2}};
+  for (const ConvCase& s : shapes) {
+    const ConvOperands in(s, 1, kKernel);
+    const std::int64_t chw = s.cin * s.h * s.w;
+    GuardedBuffer buf(static_cast<std::size_t>(chw) * sizeof(float));
+    ASSERT_TRUE(buf.ok());
+    float* img = buf.tail_floats(chw);
+    std::copy(in.x.data(), in.x.data() + chw, img);
+    // The guard is live: the first float past the image faults.
+    EXPECT_DEATH(
+        { std::printf("%f\n", static_cast<double>(*(img + chw))); }, "");
+
+    const Tensor want = conv_by_im2col(s, in, kKernel);
+    Rng rng(1);
+    const nn::Conv2d conv(s.cin, s.cout, kKernel, rng);
+    Tensor got;
+    conv.infer_with(in.weight, in.bias,
+                    ConstTensorView(img, {1, s.cin, s.h, s.w}), got,
+                    &in.slope);
+    EXPECT_TRUE(same_bits(got, want)) << "cin=" << s.cin << " h=" << s.h
+                                      << " w=" << s.w;
+  }
 }
 
 // ---- 1×1 convolution fast path ----
