@@ -128,6 +128,57 @@ void BM_ConvGemmShape(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvGemmShape)->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1}});
 
+// The whole fp32 conv step at the same shapes, as the plan runs it per
+// image with the folded bias + PReLU epilogue: second arg 0 is the im2col
+// lowering (im2col, then sgemm_serial), 1 is sconv_serial, which the
+// plan's Conv2d step calls. On an AVX-512F host at the avx2 tier,
+// sconv_serial runs its direct kernel wherever out_h·out_w % 8 == 0
+// (every shape here but tier1_conv0's 289 pixels) and the im2col lowering
+// elsewhere. Both produce the same bits.
+struct ConvStepShape {
+  const char* name;
+  std::int64_t cin, size, cout;  // kernel 5, stride 1, no pad
+};
+constexpr ConvStepShape kConvStepShapes[] = {
+    {"joint_conv1", 1, 44, 10}, {"joint_conv3", 10, 20, 20},
+    {"joint_conv5", 20, 8, 30}, {"tier1_conv0", 1, 21, 8},
+    {"tier1_conv2", 8, 8, 16},
+};
+
+void BM_ConvStepShape(benchmark::State& state) {
+  const ConvStepShape& s = kConvStepShapes[state.range(0)];
+  const bool entry = state.range(1) != 0;
+  constexpr std::int64_t kKernel = 5;
+  const std::int64_t out = s.size - kKernel + 1;
+  const std::int64_t n = out * out;
+  const std::int64_t k = s.cin * kKernel * kKernel;
+  Rng rng(1);
+  const Tensor x = Tensor::randn({s.cin, s.size, s.size}, rng);
+  const Tensor w = Tensor::randn({s.cout, k}, rng);
+  const Tensor bias = Tensor::randn({s.cout}, rng);
+  const Tensor slope({s.cout}, 0.25f);
+  const GemmEpilogue ep{bias.data(), slope.data()};
+  std::vector<float> cols(static_cast<std::size_t>(k * n));
+  Tensor y({s.cout, n});
+  for (auto _ : state) {
+    if (entry) {
+      sconv_serial(1, x.data(), s.cin, s.size, s.size, kKernel, 0, 1,
+                   w.data(), s.cout, y.data(), ep);
+    } else {
+      im2col(x.data(), s.cin, s.size, s.size, kKernel, kKernel, 0, 1,
+             cols.data());
+      sgemm_serial(s.cout, n, k, 1.0f, w.data(), cols.data(), 0.0f, y.data(),
+                   ep);
+    }
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * s.cout * n * k);
+  state.SetLabel(std::string(s.name) + (entry ? " sconv_serial" : " im2col") +
+                 " " + gemm_tier_name(gemm_tier()));
+}
+BENCHMARK(BM_ConvStepShape)->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1}});
+
 // Deterministic int8 operands in [-127, 127], the range quantize_into
 // produces.
 std::vector<std::int8_t> pattern_i8(std::int64_t count, int mul, int add) {

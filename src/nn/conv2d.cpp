@@ -110,43 +110,19 @@ void Conv2d::infer_with(const Tensor& weight, const Tensor& bias,
   if (out_h <= 0 || out_w <= 0) {
     throw std::invalid_argument("Conv2d::infer_with: kernel larger than input");
   }
-  const std::int64_t col_rows = in_channels_ * kernel_ * kernel_;
-  const std::int64_t out_hw = out_h * out_w;
-
   out.resize({n, out_channels_, out_h, out_w});
 
   // Bias — and, when the planner fused the following activation, the
   // per-channel PReLU — run in the GEMM epilogue, bitwise identical to the
-  // separate passes they replace.
+  // separate passes they replace. sconv_serial picks the lowering (direct
+  // kernel, 1×1 pass-through or im2col + GEMM) from the tier, the CPU and
+  // the shape, with the same bits every way; it runs serially and
+  // allocates nothing after warmup. Concurrency on the inference path
+  // comes from running independent sessions on separate workers.
   const GemmEpilogue ep{bias.data(),
                         prelu != nullptr ? prelu->data() : nullptr};
-
-  if (is_pointwise()) {
-    // 1×1 fast path: the input sample is already the column matrix. No
-    // im2col, and no column buffer at all on this path.
-    const std::int64_t chw = in_channels_ * h * w;
-    for (std::int64_t i = 0; i < n; ++i) {
-      sgemm_serial(out_channels_, out_hw, col_rows, 1.0f, weight.data(),
-                   x.data() + i * chw, 0.0f,
-                   out.data() + i * out_channels_ * out_hw, ep);
-    }
-    return;
-  }
-
-  // Serial per-sample loop with a per-thread, grow-only column buffer for
-  // just one sample (the training path keeps the whole batch's columns for
-  // backward). No pool dispatch, no allocation after warmup: concurrency
-  // on the inference path comes from running independent sessions on
-  // separate workers.
-  thread_local std::vector<float> cols;
-  cols.resize(static_cast<std::size_t>(col_rows * out_hw));
-  for (std::int64_t i = 0; i < n; ++i) {
-    im2col(x.data() + i * in_channels_ * h * w, in_channels_, h, w, kernel_,
-           kernel_, pad_, stride_, cols.data());
-    sgemm_serial(out_channels_, out_hw, col_rows, 1.0f, weight.data(),
-                 cols.data(), 0.0f,
-                 out.data() + i * out_channels_ * out_hw, ep);
-  }
+  sconv_serial(n, x.data(), in_channels_, h, w, kernel_, pad_, stride_,
+               weight.data(), out_channels_, out.data(), ep);
 }
 
 void Conv2d::infer_quantized(const std::int8_t* qweight,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -384,6 +385,204 @@ __attribute__((target("avx512f"))) void gemm_block_avx512(
   }
   if (nv < nb) {
     gemm_block_avx2(mb, nb - nv, kb, a, lda, b + nv, ldb, c + nv, ldc);
+  }
+}
+
+// Direct stride-1, unpadded convolution on AVX-512F: im2col's column
+// matrix is never built. Output pixel q = oy·out_w + ox reads tap
+// p = (ci, ky, kx) at image offset koff[p] + oy·W + ox, so each lane's
+// offset is fixed for the whole k loop and the B vector for tap p is the
+// image at koff[p] plus those offsets.
+enum class ConvLoad {
+  Contiguous,  ///< the lanes are one run of an output row: a masked load
+  RowBreak,    ///< an output row ends inside the vector (out_w ≥ 16, so
+               ///< at most once): two masked loads, merged
+  Gather,      ///< out_w < 16: the vector spans several rows
+};
+
+// One 16-lane vector of output pixels.
+struct ConvLanes {
+  std::int64_t off0 = 0;  ///< image offset of lane 0 (Contiguous, RowBreak)
+  std::int64_t off1 = 0;  ///< where lane 0 would read in the next output row
+  std::uint16_t mask0 = 0;  ///< lanes read at off0 (all lanes, for Gather)
+  std::uint16_t mask1 = 0;  ///< lanes read at off1, after the row break
+  alignas(64) std::int32_t index[16] = {};  ///< Gather: per-lane offsets
+};
+
+template <ConvLoad L>
+__attribute__((target("avx512f"))) inline __m512 conv_load_avx512(
+    const float* tap, const ConvLanes& lanes, __m512i index) {
+  if constexpr (L == ConvLoad::Contiguous) {
+    return _mm512_maskz_loadu_ps(lanes.mask0, tap + lanes.off0);
+  } else if constexpr (L == ConvLoad::RowBreak) {
+    // off1 ≥ W − 15 > 0 whenever mask1 is set, so both bases lie inside
+    // the image; masked-off lanes are never read.
+    return _mm512_mask_loadu_ps(_mm512_maskz_loadu_ps(lanes.mask0,
+                                                      tap + lanes.off0),
+                                lanes.mask1, tap + lanes.off1);
+  } else {
+    return _mm512_mask_i32gather_ps(_mm512_setzero_ps(), lanes.mask0, index,
+                                    tap, 4);
+  }
+}
+
+// R output channels × V·16 output pixels, the whole k reduction in
+// registers: each output is one FMA chain over k ascending from +0 (what
+// sgemm_serial at beta 0 computes in its vector columns), then the bias
+// add and the PReLU select of apply_epilogue, then a masked store.
+template <int R, int V, ConvLoad L>
+__attribute__((target("avx512f"))) void conv_tile_avx512(
+    std::int64_t k, const std::int64_t* koff, const float* image,
+    const ConvLanes* lanes, const float* w, const float* bias,
+    const float* prelu, float* out, std::int64_t ldo) {
+  __m512i index[V];
+#pragma GCC unroll 2
+  for (int v = 0; v < V; ++v) index[v] = _mm512_load_si512(lanes[v].index);
+  __m512 acc[R][V];
+#pragma GCC unroll 12
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) acc[r][v] = _mm512_setzero_ps();
+  }
+  for (std::int64_t p = 0; p < k; ++p) {
+    const float* tap = image + koff[p];
+    __m512 bv[V];
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) {
+      bv[v] = conv_load_avx512<L>(tap, lanes[v], index[v]);
+    }
+#pragma GCC unroll 12
+    for (int r = 0; r < R; ++r) {
+      const __m512 av = _mm512_set1_ps(w[r * k + p]);
+#pragma GCC unroll 2
+      for (int v = 0; v < V; ++v) {
+        acc[r][v] = _mm512_fmadd_ps(av, bv[v], acc[r][v]);
+      }
+    }
+  }
+  const __m512 zero = _mm512_setzero_ps();
+#pragma GCC unroll 12
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) {
+      __m512 y = acc[r][v];
+      if (bias != nullptr) y = _mm512_add_ps(y, _mm512_set1_ps(bias[r]));
+      if (prelu != nullptr) {
+        const __mmask16 pos = _mm512_cmp_ps_mask(y, zero, _CMP_GT_OQ);
+        y = _mm512_mask_blend_ps(
+            pos, _mm512_mul_ps(_mm512_set1_ps(prelu[r]), y), y);
+      }
+      _mm512_mask_storeu_ps(out + r * ldo + 16 * v,
+                            lanes[v].mask0 | lanes[v].mask1, y);
+    }
+  }
+}
+
+template <int V, ConvLoad L>
+__attribute__((target("avx512f"))) void conv_rows_avx512(
+    std::int64_t rows, std::int64_t k, const std::int64_t* koff,
+    const float* image, const ConvLanes* lanes, const float* w,
+    const float* bias, const float* prelu, float* out, std::int64_t ldo) {
+#define SNE_CONV_TILE(R)                                                   \
+  case R:                                                                  \
+    conv_tile_avx512<R, V, L>(k, koff, image, lanes, w, bias, prelu, out, \
+                              ldo);                                        \
+    break;
+  switch (rows) {
+    SNE_CONV_TILE(1) SNE_CONV_TILE(2) SNE_CONV_TILE(3) SNE_CONV_TILE(4)
+    SNE_CONV_TILE(5) SNE_CONV_TILE(6) SNE_CONV_TILE(7) SNE_CONV_TILE(8)
+    SNE_CONV_TILE(9) SNE_CONV_TILE(10) SNE_CONV_TILE(11)
+    default: conv_tile_avx512<12, V, L>(k, koff, image, lanes, w, bias, prelu,
+                                        out, ldo);
+  }
+#undef SNE_CONV_TILE
+}
+
+// The lanes of the 16 output pixels starting at q (of n = out_h·out_w).
+// Lanes at or past n are masked off everywhere, so they read and store
+// nothing.
+ConvLoad plan_conv_lanes(std::int64_t q, std::int64_t n, std::int64_t width,
+                         std::int64_t out_w, ConvLanes& lanes) {
+  const std::int64_t valid = std::min<std::int64_t>(16, n - q);
+  const auto low_bits = [](std::int64_t count) {
+    return static_cast<std::uint16_t>((1u << count) - 1u);
+  };
+  if (out_w < 16) {
+    for (std::int64_t l = 0; l < valid; ++l) {
+      lanes.index[l] = static_cast<std::int32_t>((q + l) / out_w * width +
+                                                 (q + l) % out_w);
+    }
+    lanes.mask0 = low_bits(valid);
+    return ConvLoad::Gather;
+  }
+  const std::int64_t oy = q / out_w;
+  const std::int64_t ox = q % out_w;
+  const std::int64_t first = std::min(valid, out_w - ox);
+  lanes.off0 = oy * width + ox;
+  lanes.mask0 = low_bits(first);
+  if (first == valid) {
+    lanes.off1 = lanes.off0;
+    return ConvLoad::Contiguous;
+  }
+  lanes.off1 = (oy + 1) * width - first;
+  lanes.mask1 = static_cast<std::uint16_t>(low_bits(valid) & ~lanes.mask0);
+  return ConvLoad::RowBreak;
+}
+
+template <int V>
+__attribute__((target("avx512f"))) void conv_strip_avx512(
+    ConvLoad load, std::int64_t rows, std::int64_t k,
+    const std::int64_t* koff, const float* image, const ConvLanes* lanes,
+    const float* w, const float* bias, const float* prelu, float* out,
+    std::int64_t ldo) {
+  switch (load) {
+    case ConvLoad::Contiguous:
+      conv_rows_avx512<V, ConvLoad::Contiguous>(rows, k, koff, image, lanes,
+                                                w, bias, prelu, out, ldo);
+      break;
+    case ConvLoad::RowBreak:
+      conv_rows_avx512<V, ConvLoad::RowBreak>(rows, k, koff, image, lanes, w,
+                                              bias, prelu, out, ldo);
+      break;
+    case ConvLoad::Gather:
+      conv_rows_avx512<V, ConvLoad::Gather>(rows, k, koff, image, lanes, w,
+                                            bias, prelu, out, ldo);
+      break;
+  }
+}
+
+// One image: out[m × n] = epilogue(w[m × k] · columns), the columns read
+// in place through koff. Output channels go in the near-equal groups of at
+// most 12 rows of gemm_block_avx512, against 32-pixel strips (16 for the
+// last one when at most 16 pixels are left).
+void conv_image_avx512(std::int64_t m, std::int64_t k,
+                       const std::int64_t* koff, const float* image,
+                       std::int64_t width, std::int64_t out_w, std::int64_t n,
+                       const float* w, const GemmEpilogue& ep, float* out) {
+  const std::int64_t groups = (m + kAvx512MaxRows - 1) / kAvx512MaxRows;
+  for (std::int64_t q = 0; q < n; q += 32) {
+    ConvLanes lanes[2];
+    ConvLoad load = plan_conv_lanes(q, n, width, out_w, lanes[0]);
+    const bool wide = n - q > 16;
+    if (wide && plan_conv_lanes(q + 16, n, width, out_w, lanes[1]) ==
+                    ConvLoad::RowBreak) {
+      // Both vectors load as RowBreak; a Contiguous one has an empty mask1.
+      load = ConvLoad::RowBreak;
+    }
+    std::int64_t i = 0;
+    for (std::int64_t g = 0; g < groups; ++g) {
+      const std::int64_t rows = (m - i) / (groups - g);
+      const float* bias = ep.bias != nullptr ? ep.bias + i : nullptr;
+      const float* prelu = ep.prelu != nullptr ? ep.prelu + i : nullptr;
+      if (wide) {
+        conv_strip_avx512<2>(load, rows, k, koff, image, lanes, w + i * k,
+                             bias, prelu, out + i * n + q, n);
+      } else {
+        conv_strip_avx512<1>(load, rows, k, koff, image, lanes, w + i * k,
+                             bias, prelu, out + i * n + q, n);
+      }
+      i += rows;
+    }
   }
 }
 
@@ -1134,6 +1333,62 @@ void sgemm_serial(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
   for (std::int64_t i0 = 0; i0 < m; i0 += kBlockM) {
     sgemm_panel(i0, std::min(kBlockM, m - i0), n, k, alpha, a, b, c, a_panel,
                 kernel, epilogue);
+  }
+}
+
+void sconv_serial(std::int64_t batch, const float* image,
+                  std::int64_t channels, std::int64_t height,
+                  std::int64_t width, std::int64_t kernel, std::int64_t pad,
+                  std::int64_t stride, const float* weight,
+                  std::int64_t out_channels, float* out,
+                  const GemmEpilogue& epilogue) {
+  const std::int64_t out_h = conv_out_extent(height, kernel, pad, stride);
+  const std::int64_t out_w = conv_out_extent(width, kernel, pad, stride);
+  const std::int64_t n = out_h * out_w;
+  const std::int64_t k = channels * kernel * kernel;
+  const std::int64_t chw = channels * height * width;
+  const std::int64_t out_stride = out_channels * n;
+
+  if (kernel == 1 && stride == 1 && pad == 0) {
+    for (std::int64_t i = 0; i < batch; ++i) {
+      sgemm_serial(out_channels, n, k, 1.0f, weight, image + i * chw, 0.0f,
+                   out + i * out_stride, epilogue);
+    }
+    return;
+  }
+
+#if SNE_GEMM_X86
+  // n % 8 == 0 leaves sgemm_serial no scalar-tail column (its column
+  // blocks are 256 wide), so every output it writes is an FMA chain the
+  // direct kernel reproduces; gather offsets are int32.
+  static const bool has_avx512f = cpu_has_avx512f();
+  if (has_avx512f && gemm_tier() == GemmTier::Avx2Fma && stride == 1 &&
+      pad == 0 && n % 8 == 0 && chw <= INT32_MAX) {
+    thread_local std::vector<std::int64_t> koff;
+    koff.resize(static_cast<std::size_t>(k));
+    std::size_t p = 0;
+    for (std::int64_t c = 0; c < channels; ++c) {
+      for (std::int64_t ky = 0; ky < kernel; ++ky) {
+        for (std::int64_t kx = 0; kx < kernel; ++kx) {
+          koff[p++] = (c * height + ky) * width + kx;
+        }
+      }
+    }
+    for (std::int64_t i = 0; i < batch; ++i) {
+      conv_image_avx512(out_channels, k, koff.data(), image + i * chw, width,
+                        out_w, n, weight, epilogue, out + i * out_stride);
+    }
+    return;
+  }
+#endif
+
+  thread_local std::vector<float> cols;
+  cols.resize(static_cast<std::size_t>(k * n));
+  for (std::int64_t i = 0; i < batch; ++i) {
+    im2col(image + i * chw, channels, height, width, kernel, kernel, pad,
+           stride, cols.data());
+    sgemm_serial(out_channels, n, k, 1.0f, weight, cols.data(), 0.0f,
+                 out + i * out_stride, epilogue);
   }
 }
 

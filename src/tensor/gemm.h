@@ -88,6 +88,36 @@ void sgemm_serial(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
                   const float* a, const float* b, float beta, float* c,
                   const GemmEpilogue& epilogue = {});
 
+/// fp32 convolution for serving, one image after another: for each of
+/// `batch` consecutive C×H×W images (C = `channels`, row-major),
+///   out[b] (out_channels × out_h·out_w) = epilogue(weight · im2col(image[b]))
+/// with `weight` [out_channels × channels·kernel²] read in place and the
+/// square `kernel`, `pad` and `stride` of im2col. Bitwise identical to
+/// im2col + sgemm_serial with the same epilogue at the current tier, and
+/// like sgemm_serial never dispatches to the pool and allocates nothing
+/// after its per-thread scratch has warmed up. The lowering follows from
+/// the tier, the CPU and the shape, never from a setting:
+/// - 1×1, stride 1, no pad: the image is already the column matrix, so
+///   sgemm_serial reads it directly.
+/// - Avx2Fma tier on an AVX-512F host, stride 1, no pad and
+///   out_h·out_w % 8 == 0: a direct kernel reads the image in place, 32
+///   output pixels at a time (a masked load per 16 pixels; two, merged,
+///   where an output row ends inside them; a gather when out_w < 16). At
+///   such shapes every output of the im2col lowering is one fused
+///   multiply-add chain over k ascending from +0, followed by the bias add
+///   and the PReLU select; the direct kernel runs exactly that sequence,
+///   so no bit moves. Other shapes put outputs in sgemm's scalar tail
+///   columns, whose bits are whatever the compiler made of them, so they
+///   stay on im2col.
+/// - Otherwise im2col into a per-thread column buffer, then sgemm_serial.
+/// The output extents must be positive (see conv_out_extent).
+void sconv_serial(std::int64_t batch, const float* image,
+                  std::int64_t channels, std::int64_t height,
+                  std::int64_t width, std::int64_t kernel, std::int64_t pad,
+                  std::int64_t stride, const float* weight,
+                  std::int64_t out_channels, float* out,
+                  const GemmEpilogue& epilogue = {});
+
 /// C[m×n] = alpha * Aᵀ (A is k×m) · B[k×n] + beta * C.
 ///
 /// Epilogue fusion is a FORWARD-ONLY contract: the transpose variants
