@@ -109,55 +109,4 @@ infer::JointCalibration calibrate(const JointModel& joint,
   return table;
 }
 
-// ---- deprecated forwards --------------------------------------------
-
-namespace {
-
-// PlanOptions → SessionOptions, for the legacy overloads below.
-SessionOptions from_plan_options(const infer::PlanOptions& options) {
-  SessionOptions so;
-  so.precision = options.precision;
-  so.fold_batchnorm = options.fold_batchnorm;
-  so.fuse_prelu = options.fuse_prelu;
-  so.calibration = options.calibration;
-  return so;
-}
-
-}  // namespace
-
-std::shared_ptr<const infer::InferencePlan> compile_plan(
-    const BandCnn& cnn, infer::PlanOptions options) {
-  return compile_plan(cnn, from_plan_options(options));
-}
-
-std::shared_ptr<const infer::InferencePlan> compile_plan(
-    const LcClassifier& classifier, infer::PlanOptions options) {
-  return compile_plan(classifier, from_plan_options(options));
-}
-
-infer::InferenceSession make_session(const BandCnn& cnn,
-                                     infer::PlanOptions options) {
-  return make_session(cnn, from_plan_options(options));
-}
-
-infer::InferenceSession make_session(const LcClassifier& classifier,
-                                     infer::PlanOptions options) {
-  return make_session(classifier, from_plan_options(options));
-}
-
-infer::JointSession make_session(const JointModel& joint,
-                                 infer::PlanOptions options) {
-  return make_session(joint, from_plan_options(options));
-}
-
-infer::JointSession make_session(const JointModel& joint,
-                                 const infer::JointCalibration& calibration,
-                                 infer::PlanOptions options) {
-  SessionOptions so = from_plan_options(options);
-  so.precision = Precision::Int8;
-  so.calibration = nullptr;
-  so.joint_calibration = &calibration;
-  return make_session(joint, so);
-}
-
 }  // namespace sne::core

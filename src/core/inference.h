@@ -9,9 +9,7 @@
 //
 // One options struct drives every precision: fp32 is the default, int8
 // flips `precision` and attaches the calibration recorded by calibrate()
-// (joint model) or InferenceSession::calibrate (single nets). The old
-// per-precision overload pairs survive one release as deprecated
-// forwards.
+// (joint model) or InferenceSession::calibrate (single nets).
 #pragma once
 
 #include <memory>
@@ -86,31 +84,5 @@ infer::JointSession make_session(const JointModel& joint,
 /// which thread count renders it.
 infer::JointCalibration calibrate(const JointModel& joint,
                                   std::span<const Tensor> batches);
-
-// ---- deprecated forwards (one release; see docs/API.md) -------------
-// The PlanOptions overload pairs predate SessionOptions. They carry no
-// default argument so `make_session(model)` keeps resolving to the new
-// factory unambiguously.
-
-[[deprecated("use the SessionOptions overload")]]
-std::shared_ptr<const infer::InferencePlan> compile_plan(
-    const BandCnn& cnn, infer::PlanOptions options);
-[[deprecated("use the SessionOptions overload")]]
-std::shared_ptr<const infer::InferencePlan> compile_plan(
-    const LcClassifier& classifier, infer::PlanOptions options);
-[[deprecated("use the SessionOptions overload")]]
-infer::InferenceSession make_session(const BandCnn& cnn,
-                                     infer::PlanOptions options);
-[[deprecated("use the SessionOptions overload")]]
-infer::InferenceSession make_session(const LcClassifier& classifier,
-                                     infer::PlanOptions options);
-[[deprecated("use the SessionOptions overload")]]
-infer::JointSession make_session(const JointModel& joint,
-                                 infer::PlanOptions options);
-[[deprecated(
-    "use the SessionOptions overload (precision = Int8, joint_calibration)")]]
-infer::JointSession make_session(const JointModel& joint,
-                                 const infer::JointCalibration& calibration,
-                                 infer::PlanOptions options = {});
 
 }  // namespace sne::core

@@ -1,6 +1,10 @@
-// conv2d.h — 2-d convolution implemented as im2col + GEMM, the standard
-// lowering on CPU. This is the workhorse of the paper's band-wise CNN
-// (three 5×5 convolution stages, Fig. 7).
+// conv2d.h — 2-d convolution, the workhorse of the paper's band-wise CNN
+// (three 5×5 convolution stages, Fig. 7). Training lowers it to im2col +
+// GEMM, the standard lowering on CPU. Serving (infer_with) calls
+// sconv_serial, which on AVX-512F hosts at the Avx2Fma tier convolves
+// stride-1, unpadded inputs with out_h·out_w % 8 == 0 in place, without
+// the column matrix, and lowers every other case through im2col + GEMM;
+// both produce the same bits (see tensor/gemm.h).
 #pragma once
 
 #include <vector>
@@ -43,7 +47,13 @@ class Conv2d final : public Module {
   /// [Cout, Cin·k·k] and `bias` [Cout], like the layer's own parameters.
   /// When `prelu` is non-null it must be [Cout] per-channel PReLU slopes;
   /// they are applied in the GEMM epilogue, bitwise identical to running a
-  /// separate PReLU pass over the conv output.
+  /// separate PReLU pass over the conv output. Runs sconv_serial, whose
+  /// direct kernel (AVX-512F host, Avx2Fma tier, stride 1, no pad,
+  /// out_h·out_w % 8 == 0) reads the input in place. It keeps the bits of
+  /// im2col + sgemm_serial because at those shapes every output of that
+  /// lowering is one FMA chain over k ascending from +0 followed by the
+  /// bias add and PReLU select, and the kernel runs the same sequence.
+  /// Serial and allocation-free after warmup.
   void infer_with(const Tensor& weight, const Tensor& bias, ConstTensorView x,
                   Tensor& out, const Tensor* prelu = nullptr) const;
 

@@ -96,17 +96,4 @@ ScorerFactory scorer_factory(ScorerSpec spec) {
   return [spec = std::move(spec)] { return make_scorer(spec); };
 }
 
-// ---- deprecated forwards --------------------------------------------
-
-std::unique_ptr<Scorer> make_scorer(
-    std::shared_ptr<const infer::InferencePlan> plan) {
-  ScorerSpec spec;
-  spec.plan = std::move(plan);
-  return make_scorer(spec);
-}
-
-std::unique_ptr<Scorer> make_scorer(infer::JointSession session) {
-  return std::make_unique<JointScorer>(std::move(session));
-}
-
 }  // namespace sne::serve

@@ -69,13 +69,4 @@ std::unique_ptr<Scorer> make_scorer(const ScorerSpec& spec);
 /// eagerly so a bad spec fails at configuration time, not in start().
 ScorerFactory scorer_factory(ScorerSpec spec);
 
-// ---- deprecated forwards (one release; see docs/API.md) -------------
-
-[[deprecated("wrap the plan in a ScorerSpec")]]
-std::unique_ptr<Scorer> make_scorer(
-    std::shared_ptr<const infer::InferencePlan> plan);
-
-[[deprecated("use ScorerSpec::joint with a session builder")]]
-std::unique_ptr<Scorer> make_scorer(infer::JointSession session);
-
 }  // namespace sne::serve

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstring>

@@ -1,7 +1,8 @@
-// gemm.h — matrix multiply kernels and the im2col/col2im lowering used by
-// the convolution layers. These are the hot loops of the whole training
-// pipeline; everything else in the nn library reduces to calls into this
-// file. Two precisions live here: the f32 sgemm family (training and the
+// gemm.h — matrix multiply kernels, the im2col/col2im lowering used by
+// the convolution layers, and sconv_serial, the fp32 serving convolution
+// (direct where the shape allows, with the same bits). These are the hot
+// loops of the whole training pipeline; everything else in the nn library
+// reduces to calls into this file. Two precisions live here: the f32 sgemm family (training and the
 // fp32 serving path) and the s8×s8→s32 igemm family (the quantized
 // serving path; see tensor/qtensor.h for how operands are produced).
 //

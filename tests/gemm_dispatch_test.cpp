@@ -4,8 +4,10 @@
 // register-tile tails), be bitwise deterministic within itself (repeated
 // runs, thread-count sweeps, serial-vs-pooled drivers), and the fused
 // epilogue (bias + PReLU) must change no bits relative to the separate
-// passes it replaces. Also pins the 1×1 conv fast path: bitwise equal to
-// the im2col lowering and free of column-buffer allocations.
+// passes it replaces. Also pins the fp32 conv serving entry (bitwise equal
+// to the im2col lowering, and never reading past the image) and the 1×1
+// conv fast path: bitwise equal to the im2col lowering and free of
+// column-buffer allocations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
