@@ -60,7 +60,7 @@ class InferenceSession {
   std::shared_ptr<const InferencePlan> plan_;
   Tensor ping_;
   Tensor pong_;
-  nn::ConvInt8Scratch int8_scratch_;  ///< quantized input/column buffers
+  nn::ConvInt8Scratch int8_scratch_;  ///< quantized input image
   Shape shape_scratch_;  ///< reused per-step shape, batch axis rescaled
   bool warmed_ = false;  ///< first run() sizes the arena; traced apart
 };

@@ -143,37 +143,19 @@ void Conv2d::infer_quantized(const std::int8_t* qweight,
     throw std::invalid_argument(
         "Conv2d::infer_quantized: kernel larger than input");
   }
-  const std::int64_t col_rows = in_channels_ * kernel_ * kernel_;
-  const std::int64_t out_hw = out_h * out_w;
   const std::int64_t chw = in_channels_ * h * w;
+  const std::int64_t out_stride = out_channels_ * out_h * out_w;
 
   out.resize({n, out_channels_, out_h, out_w});
   scratch.input.resize(static_cast<std::size_t>(chw));
-
-  if (is_pointwise()) {
-    // 1×1 fast path, quantized: the int8 image IS the column matrix.
-    for (std::int64_t i = 0; i < n; ++i) {
-      quantize_into(x.data() + i * chw, chw, input_inv_scale,
-                    scratch.input.data());
-      igemm_serial(out_channels_, out_hw, col_rows, qweight,
-                   scratch.input.data(),
-                   out.data() + i * out_channels_ * out_hw, epilogue);
-    }
-    return;
-  }
-
-  // Quantize once per sample (O(C·H·W)), then lower the int8 image —
-  // the column matrix costs a quarter of the f32 path's byte traffic,
-  // which is where most of the int8 serving win comes from.
-  scratch.columns.resize(static_cast<std::size_t>(col_rows * out_hw));
+  // Quantize once per sample (O(C·H·W)); iconv_serial then lowers the
+  // int8 image (1×1 pass-through or im2col_i8 + igemm_serial).
   for (std::int64_t i = 0; i < n; ++i) {
     quantize_into(x.data() + i * chw, chw, input_inv_scale,
                   scratch.input.data());
-    im2col_i8(scratch.input.data(), in_channels_, h, w, kernel_, kernel_,
-              pad_, stride_, scratch.columns.data());
-    igemm_serial(out_channels_, out_hw, col_rows, qweight,
-                 scratch.columns.data(),
-                 out.data() + i * out_channels_ * out_hw, epilogue);
+    iconv_serial(scratch.input.data(), in_channels_, h, w, kernel_, pad_,
+                 stride_, qweight, out_channels_, out.data() + i * out_stride,
+                 epilogue);
   }
 }
 

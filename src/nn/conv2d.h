@@ -16,12 +16,11 @@
 namespace sne::nn {
 
 /// Caller-owned scratch of the quantized conv path: the int8 image of the
-/// current sample and its int8 column matrix. Grow-only, so a serving
-/// session that reuses one across run() calls stays allocation-free after
-/// warmup — this is the "int8 ping-pong arena" the InferenceSession sizes.
+/// current sample. Grow-only, so a serving session that reuses one across
+/// run() calls stays allocation-free after warmup — this is the "int8
+/// ping-pong arena" the InferenceSession sizes.
 struct ConvInt8Scratch {
   std::vector<std::int8_t> input;
-  std::vector<std::int8_t> columns;
 };
 
 /// 2-d convolution: input [N, Cin, H, W] → output [N, Cout, H', W'] with
@@ -58,15 +57,15 @@ class Conv2d final : public Module {
                   Tensor& out, const Tensor* prelu = nullptr) const;
 
   /// Quantized inference: per sample, quantizes the f32 input with
-  /// `input_inv_scale` (= 127 / calibrated max|x|), lowers it through the
-  /// int8 im2col, and runs the saturating s8×s8→s32 GEMM whose epilogue
-  /// requantizes to f32 (per-channel scale), adds the bias and applies
-  /// the fused PReLU — so the output tensor is f32 like every other step
-  /// and downstream layers are oblivious to the precision. `qweight` is
-  /// the per-channel-quantized weight payload [Cout, Cin·k·k] and
-  /// `epilogue.scale` must carry input_scale · weight_scale[c] (the
+  /// `input_inv_scale` (= 127 / calibrated max|x|) into `scratch`, then
+  /// makes one iconv_serial call: the exact s8×s8→s32 convolution whose
+  /// epilogue requantizes to f32 (per-channel scale), adds the bias and
+  /// applies the fused PReLU — so the output tensor is f32 like every
+  /// other step and downstream layers are oblivious to the precision.
+  /// `qweight` is the per-channel-quantized weight payload [Cout, Cin·k·k]
+  /// and `epilogue.scale` must carry input_scale · weight_scale[c] (the
   /// inference planner precomputes both). Same serial/zero-alloc
-  /// contract as infer_with, with `scratch` holding the int8 buffers.
+  /// contract as infer_with, with `scratch` holding the int8 image.
   void infer_quantized(const std::int8_t* qweight,
                        const IgemmEpilogue& epilogue, float input_inv_scale,
                        ConstTensorView x, Tensor& out,

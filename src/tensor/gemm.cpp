@@ -1423,6 +1423,27 @@ void igemm_serial(std::int64_t m, std::int64_t n, std::int64_t k,
   igemm_rows(tier, 0, m, n, k, a, b, c, epilogue, apack, bpack);
 }
 
+void iconv_serial(const std::int8_t* image, std::int64_t channels,
+                  std::int64_t height, std::int64_t width, std::int64_t kernel,
+                  std::int64_t pad, std::int64_t stride,
+                  const std::int8_t* weight, std::int64_t out_channels,
+                  float* out, const IgemmEpilogue& epilogue) {
+  const std::int64_t n = conv_out_extent(height, kernel, pad, stride) *
+                         conv_out_extent(width, kernel, pad, stride);
+  const std::int64_t k = channels * kernel * kernel;
+
+  if (kernel == 1 && stride == 1 && pad == 0) {
+    igemm_serial(out_channels, n, k, weight, image, out, epilogue);
+    return;
+  }
+
+  thread_local std::vector<std::int8_t> cols;
+  cols.resize(static_cast<std::size_t>(k * n));
+  im2col_i8(image, channels, height, width, kernel, kernel, pad, stride,
+            cols.data());
+  igemm_serial(out_channels, n, k, weight, cols.data(), out, epilogue);
+}
+
 void sgemm_at(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
               const float* a, const float* b, float beta, float* c) {
   // A is stored k×m; transpose blocks of A into a row-major panel, then

@@ -197,6 +197,23 @@ void igemm_serial(std::int64_t m, std::int64_t n, std::int64_t k,
                   const std::int8_t* a, const std::int8_t* b, float* c,
                   const IgemmEpilogue& epilogue);
 
+/// int8 convolution for quantized serving, one already-quantized C×H×W
+/// image (C = `channels`, row-major):
+///   out (out_channels × out_h·out_w) = epilogue(weight · im2col_i8(image))
+/// with `weight` the int8 [out_channels × channels·kernel²] payload and the
+/// square `kernel`, `pad` and `stride` of im2col_i8. Bitwise identical to
+/// im2col_i8 + igemm_serial with the same epilogue, at any tier; like
+/// igemm_serial it never dispatches to the pool and allocates nothing
+/// after its per-thread scratch has warmed up. 1×1, stride 1, no pad: the
+/// image is already the column matrix, so igemm_serial reads it directly;
+/// otherwise im2col_i8 into a per-thread column buffer, then igemm_serial.
+/// The output extents must be positive (see conv_out_extent).
+void iconv_serial(const std::int8_t* image, std::int64_t channels,
+                  std::int64_t height, std::int64_t width, std::int64_t kernel,
+                  std::int64_t pad, std::int64_t stride,
+                  const std::int8_t* weight, std::int64_t out_channels,
+                  float* out, const IgemmEpilogue& epilogue);
+
 /// Lowers one image (C×H×W, row-major) into a column matrix of shape
 /// [C·kh·kw] × [out_h·out_w] for convolution-as-GEMM. `pad` is zero padding
 /// applied on all sides, `stride` the convolution stride.

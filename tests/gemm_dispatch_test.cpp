@@ -4,10 +4,10 @@
 // register-tile tails), be bitwise deterministic within itself (repeated
 // runs, thread-count sweeps, serial-vs-pooled drivers), and the fused
 // epilogue (bias + PReLU) must change no bits relative to the separate
-// passes it replaces. Also pins the fp32 conv serving entry (bitwise equal
-// to the im2col lowering, and never reading past the image) and the 1×1
-// conv fast path: bitwise equal to the im2col lowering and free of
-// column-buffer allocations.
+// passes it replaces. Also pins the fp32 and int8 conv serving entries
+// (bitwise equal to the im2col lowering, and never reading past the
+// image) and the 1×1 conv fast path: bitwise equal to the im2col lowering
+// and free of column-buffer allocations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -589,9 +589,10 @@ class GuardedBuffer {
   GuardedBuffer& operator=(const GuardedBuffer&) = delete;
 
   bool ok() const { return base_ != nullptr; }
-  /// `count` floats ending exactly at the guard page.
-  float* tail_floats(std::int64_t count) const {
-    return reinterpret_cast<float*>(end_) - count;
+  /// `count` elements of T ending exactly at the guard page.
+  template <typename T>
+  T* tail(std::int64_t count) const {
+    return reinterpret_cast<T*>(end_) - count;
   }
 
  private:
@@ -616,7 +617,7 @@ TEST(GemmDispatch, DirectConvNeverReadsPastTheImage) {
     const std::int64_t chw = s.cin * s.h * s.w;
     GuardedBuffer buf(static_cast<std::size_t>(chw) * sizeof(float));
     ASSERT_TRUE(buf.ok());
-    float* img = buf.tail_floats(chw);
+    float* img = buf.tail<float>(chw);
     std::copy(in.x.data(), in.x.data() + chw, img);
     // The guard is live: the first float past the image faults.
     EXPECT_DEATH(
@@ -629,6 +630,163 @@ TEST(GemmDispatch, DirectConvNeverReadsPastTheImage) {
     conv.infer_with(in.weight, in.bias,
                     ConstTensorView(img, {1, s.cin, s.h, s.w}), got,
                     &in.slope);
+    EXPECT_TRUE(same_bits(got, want)) << "cin=" << s.cin << " h=" << s.h
+                                      << " w=" << s.w;
+  }
+}
+
+// ---- int8 conv serving entry ----
+//
+// Conv2d::infer_quantized must produce exactly the bits of quantize_into +
+// im2col_i8 + igemm_serial with the same requant epilogue, whatever kernel
+// iconv_serial runs for the shape. The sweep crosses output rows of 1 to 40
+// pixels (1, 2, 3 and 4 per row give many rows per 32-pixel strip; 15/16/17
+// and 31/32/33 sit at the strip edges), ragged last strips, kernels 1 (the
+// pass-through), 2, 3 and 5, k not a multiple of 4, the 12-row
+// output-channel groups, inputs that saturate to ±127, all three epilogue
+// forms, and the stride/pad lowerings that always build the column matrix.
+
+struct IconvCase {
+  std::int64_t cin, h, w, cout, kernel, stride, pad;
+  int epilogue;     // 0 scale, 1 scale + bias, 2 scale + bias + PReLU
+  float inv_scale;  // 127 keeps |x| < 1 inside ±127; 381 saturates 2/3
+};
+
+// The operands of one int8 conv case, in splitmix64 values like PinCase:
+// an f32 batch, int8 weights over [-127, 127] and per-channel requant
+// scale, bias and PReLU slope.
+struct IconvOperands {
+  Tensor x;
+  std::vector<std::int8_t> weight;
+  std::vector<float> scale, bias, slope;
+  IconvOperands(const IconvCase& s, std::int64_t batch) {
+    PinValues v{static_cast<std::uint64_t>(
+        (((s.cin * 64 + s.h) * 64 + s.w) * 64 + s.cout) * 8 + s.kernel)};
+    x = Tensor({batch, s.cin, s.h, s.w});
+    const auto values = v.fill(x.size());
+    std::copy(values.begin(), values.end(), x.data());
+    for (const float f : v.fill(s.cout * s.cin * s.kernel * s.kernel)) {
+      weight.push_back(static_cast<std::int8_t>(
+          std::clamp(std::lrintf(f * 128.0f), -127L, 127L)));
+    }
+    for (const float f : v.fill(s.cout)) scale.push_back(0.001f + 0.01f * std::fabs(f));
+    bias = v.fill(s.cout);
+    slope = v.fill(s.cout);
+  }
+  IgemmEpilogue epilogue(int form) const {
+    return {scale.data(), form >= 1 ? bias.data() : nullptr,
+            form == 2 ? slope.data() : nullptr};
+  }
+};
+
+// The lowering Conv2d::infer_quantized replaced: per image, quantize_into,
+// im2col_i8, then igemm_serial with the requant epilogue.
+Tensor iconv_by_im2col(const IconvCase& s, const IconvOperands& in) {
+  const std::int64_t batch = in.x.extent(0);
+  const std::int64_t oh = conv_out_extent(s.h, s.kernel, s.pad, s.stride);
+  const std::int64_t ow = conv_out_extent(s.w, s.kernel, s.pad, s.stride);
+  const std::int64_t k = s.cin * s.kernel * s.kernel;
+  const std::int64_t chw = s.cin * s.h * s.w;
+  Tensor out({batch, s.cout, oh, ow});
+  std::vector<std::int8_t> image(static_cast<std::size_t>(chw));
+  std::vector<std::int8_t> cols(static_cast<std::size_t>(k * oh * ow));
+  for (std::int64_t i = 0; i < batch; ++i) {
+    quantize_into(in.x.data() + i * chw, chw, s.inv_scale, image.data());
+    im2col_i8(image.data(), s.cin, s.h, s.w, s.kernel, s.kernel, s.pad,
+              s.stride, cols.data());
+    igemm_serial(s.cout, oh * ow, k, in.weight.data(), cols.data(),
+                 out.data() + i * s.cout * oh * ow, in.epilogue(s.epilogue));
+  }
+  return out;
+}
+
+Tensor iconv_by_layer(const IconvCase& s, const IconvOperands& in) {
+  Rng rng(1);
+  const nn::Conv2d conv(s.cin, s.cout, s.kernel, rng, s.stride, s.pad);
+  nn::ConvInt8Scratch scratch;
+  Tensor out;
+  conv.infer_quantized(in.weight.data(), in.epilogue(s.epilogue), s.inv_scale,
+                       in.x, out, scratch);
+  return out;
+}
+
+TEST(GemmDispatch, DirectIconvMatchesIm2colIgemmBitwise) {
+  constexpr std::int64_t kBatch = 2;
+  // (H, W), mostly non-square; at kernel 5 they give out_w 1, 2, 3, 4, 4,
+  // 15, 16, 17, 31, 32, 33, 40, 17 and 40.
+  constexpr std::int64_t kHw[][2] = {
+      {5, 5},   {9, 6},   {6, 7},  {8, 8},   {21, 8},  {7, 19},  {20, 20},
+      {10, 21}, {6, 35},  {12, 36}, {5, 37}, {44, 44}, {21, 21}, {13, 44},
+  };
+  constexpr std::int64_t kCin[] = {1, 3, 8, 10, 11, 20};
+  constexpr std::int64_t kCout[] = {1, 8, 10, 12, 13, 20, 30, 37};
+  std::vector<IconvCase> cases;
+  int rotate = 0;
+  for (const std::int64_t kernel : {1, 2, 3, 5}) {
+    for (const std::int64_t cin : kCin) {
+      for (const auto& hw : kHw) {
+        for (const std::int64_t cout : kCout) {
+          cases.push_back({cin, hw[0], hw[1], cout, kernel, 1, 0, rotate % 3,
+                           rotate % 2 == 0 ? 127.0f : 381.0f});
+          ++rotate;
+        }
+      }
+    }
+  }
+  // Lowerings that build the column matrix whatever the tier.
+  for (const std::int64_t cout : {std::int64_t{10}, std::int64_t{13}}) {
+    cases.push_back({3, 12, 12, cout, 5, 1, 2, 2, 381.0f});
+    cases.push_back({3, 20, 20, cout, 5, 2, 0, 1, 127.0f});
+    cases.push_back({3, 21, 21, cout, 3, 2, 1, 0, 381.0f});
+    cases.push_back({8, 9, 9, cout, 1, 2, 0, 2, 127.0f});
+    cases.push_back({8, 9, 9, cout, 1, 1, 1, 2, 381.0f});
+  }
+
+  TierGuard guard;
+  for (const GemmTier tier : {GemmTier::Avx2Fma, GemmTier::Scalar}) {
+    if (!gemm_tier_supported(tier)) continue;
+    set_gemm_tier(tier);
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+      // The scalar tier only ever builds the column matrix and is slow at
+      // the large shapes; every eighth case covers its entry.
+      if (tier == GemmTier::Scalar && c % 8 != 0) continue;
+      const IconvCase& s = cases[c];
+      const IconvOperands in(s, kBatch);
+      const Tensor want = iconv_by_im2col(s, in);
+      const Tensor got = iconv_by_layer(s, in);
+      ASSERT_TRUE(same_bits(got, want))
+          << gemm_tier_name(tier) << " cin=" << s.cin << " h=" << s.h
+          << " w=" << s.w << " cout=" << s.cout << " kernel=" << s.kernel
+          << " stride=" << s.stride << " pad=" << s.pad
+          << " epilogue=" << s.epilogue << " inv_scale=" << s.inv_scale;
+    }
+  }
+}
+
+TEST(GemmDispatch, DirectIconvNeverReadsPastTheImage) {
+  if (!vector_tier_available()) GTEST_SKIP() << "no AVX2+FMA on this CPU";
+  TierGuard guard;
+  set_gemm_tier(GemmTier::Avx2Fma);
+  // 20×8×8 → 30: rows of 4 outputs, 16 pixels in one ragged strip;
+  // 1×21×21 → 8: 289 pixels, whose last strip holds one. In both, the
+  // last tap of the last output reads the image's last byte.
+  const IconvCase shapes[] = {{20, 8, 8, 30, 5, 1, 0, 2, 381.0f},
+                              {1, 21, 21, 8, 5, 1, 0, 2, 127.0f}};
+  for (const IconvCase& s : shapes) {
+    const IconvOperands in(s, 1);
+    const std::int64_t chw = s.cin * s.h * s.w;
+    GuardedBuffer buf(static_cast<std::size_t>(chw));
+    ASSERT_TRUE(buf.ok());
+    std::int8_t* img = buf.tail<std::int8_t>(chw);
+    quantize_into(in.x.data(), chw, s.inv_scale, img);
+    // The guard is live: the first byte past the image faults.
+    EXPECT_DEATH({ std::printf("%d\n", static_cast<int>(*(img + chw))); },
+                 "");
+
+    const Tensor want = iconv_by_im2col(s, in);
+    Tensor got(want.shape());
+    iconv_serial(img, s.cin, s.h, s.w, s.kernel, s.pad, s.stride,
+                 in.weight.data(), s.cout, got.data(), in.epilogue(s.epilogue));
     EXPECT_TRUE(same_bits(got, want)) << "cin=" << s.cin << " h=" << s.h
                                       << " w=" << s.w;
   }
