@@ -23,6 +23,7 @@
 #include "sim/psf.h"
 #include "sim/sersic.h"
 #include "tensor/gemm.h"
+#include "tensor/qtensor.h"
 #include "tensor/runtime.h"
 #include "tensor/thread_pool.h"
 
@@ -219,6 +220,49 @@ void BM_ConvIgemmShape(benchmark::State& state) {
   set_gemm_tier(prev);
 }
 BENCHMARK(BM_ConvIgemmShape)->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1}});
+
+// The whole int8 conv step at the fp32 step's shapes, as the plan runs it
+// per image with the requant + PReLU epilogue: second arg 0 quantizes, then
+// im2col_i8, then igemm_serial; 1 quantizes, then iconv_serial, which the
+// plan's quantized Conv2d step calls. On an AVX-512 VNNI host at the avx2
+// tier iconv_serial packs the VNNI k-quads straight from the image at
+// every shape here. Both produce the same bits.
+void BM_ConvIgemmStepShape(benchmark::State& state) {
+  const ConvStepShape& s = kConvStepShapes[state.range(0)];
+  const bool entry = state.range(1) != 0;
+  constexpr std::int64_t kKernel = 5;
+  const std::int64_t out = s.size - kKernel + 1;
+  const std::int64_t n = out * out;
+  const std::int64_t k = s.cin * kKernel * kKernel;
+  const std::int64_t chw = s.cin * s.size * s.size;
+  Rng rng(1);
+  const Tensor x = Tensor::randn({s.cin, s.size, s.size}, rng);
+  const auto w = pattern_i8(s.cout * k, 31, 7);
+  const std::vector<float> scale(static_cast<std::size_t>(s.cout), 0.01f);
+  const std::vector<float> bias(static_cast<std::size_t>(s.cout), -0.1f);
+  const std::vector<float> slope(static_cast<std::size_t>(s.cout), 0.25f);
+  const IgemmEpilogue ep{scale.data(), bias.data(), slope.data()};
+  std::vector<std::int8_t> image(static_cast<std::size_t>(chw));
+  std::vector<std::int8_t> cols(static_cast<std::size_t>(k * n));
+  Tensor y({s.cout, n});
+  for (auto _ : state) {
+    quantize_into(x.data(), chw, 127.0f / 4.0f, image.data());
+    if (entry) {
+      iconv_serial(image.data(), s.cin, s.size, s.size, kKernel, 0, 1,
+                   w.data(), s.cout, y.data(), ep);
+    } else {
+      im2col_i8(image.data(), s.cin, s.size, s.size, kKernel, kKernel, 0, 1,
+                cols.data());
+      igemm_serial(s.cout, n, k, w.data(), cols.data(), y.data(), ep);
+    }
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * s.cout * n * k);
+  state.SetLabel(std::string(s.name) + (entry ? " iconv_serial" : " im2col_i8") +
+                 " " + gemm_tier_name(gemm_tier()));
+}
+BENCHMARK(BM_ConvIgemmStepShape)->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1}});
 
 // Int8 kernel-tier pairs: the saturating s8×s8→s32 GEMM with requant
 // epilogue, scalar (0) vs AVX2 (1). Integer accumulation is exact, so

@@ -585,6 +585,25 @@ void conv_image_avx512(std::int64_t m, std::int64_t k,
   }
 }
 
+// The image offset of each tap p = (c, ky, kx) of a stride-1, unpadded
+// conv: row p of its column matrix is the image at koff[p] plus each
+// output pixel's offset. A grow-only per-thread table.
+const std::int64_t* conv_tap_offsets(std::int64_t channels,
+                                     std::int64_t height, std::int64_t width,
+                                     std::int64_t kernel) {
+  thread_local std::vector<std::int64_t> koff;
+  koff.resize(static_cast<std::size_t>(channels * kernel * kernel));
+  std::size_t p = 0;
+  for (std::int64_t c = 0; c < channels; ++c) {
+    for (std::int64_t ky = 0; ky < kernel; ++ky) {
+      for (std::int64_t kx = 0; kx < kernel; ++kx) {
+        koff[p++] = (c * height + ky) * width + kx;
+      }
+    }
+  }
+  return koff.data();
+}
+
 #endif  // SNE_GEMM_X86
 
 bool cpu_has_avx2_fma() noexcept {
@@ -1019,15 +1038,11 @@ igemm_b_row_vnni(const std::int8_t* b, std::int64_t n, std::int64_t k,
                : _mm256_setzero_si256();
 }
 
-// Packs B columns [j, j + 32) ∩ [0, n) into k-quads of u8: for quad q,
-// 64 bytes per 16 columns, column c's 4 bytes being rows 4q..4q+3 plus
-// 128. Ragged columns load masked (their packed lanes are never stored)
-// and rows past k load as zero, against zero A padding.
-__attribute__((target("avx512f,avx512bw,avx512vl"))) void igemm_pack_b_vnni(
-    const std::int8_t* b, std::int64_t n, std::int64_t k, std::int64_t j,
-    std::int64_t kq, std::uint8_t* dst) {
-  const std::int64_t w = std::min<std::int64_t>(32, n - j);
-  const __mmask32 cols = w >= 32 ? ~__mmask32{0} : (__mmask32{1} << w) - 1;
+// Packs one k-quad of four B rows (32 columns each) as u8: 64 bytes per
+// 16 columns, column c's 4 bytes being the four rows' bytes plus 128.
+__attribute__((target("avx512f,avx512bw,avx512vl"))) inline void
+igemm_pack_quad_vnni(__m256i r0, __m256i r1, __m256i r2, __m256i r3,
+                     std::uint8_t* dst) {
   // Lanes of x: row 0 cols 0-15, row 0 cols 16-31, row 1 cols 0-15, row 1
   // cols 16-31; y likewise rows 2 and 3. lo/hi gather, per lane g, the
   // four rows' dword g of the low/high 16 columns.
@@ -1035,18 +1050,29 @@ __attribute__((target("avx512f,avx512bw,avx512vl"))) void igemm_pack_b_vnni(
                                        26, 3, 11, 19, 27);
   const __m512i hi = _mm512_setr_epi32(4, 12, 20, 28, 5, 13, 21, 29, 6, 14, 22,
                                        30, 7, 15, 23, 31);
+  const __m512i x = _mm512_inserti64x4(_mm512_castsi256_si512(r0), r1, 1);
+  const __m512i y = _mm512_inserti64x4(_mm512_castsi256_si512(r2), r3, 1);
+  _mm512_store_si512(dst,
+                     igemm_quads_vnni(_mm512_permutex2var_epi32(x, lo, y)));
+  _mm512_store_si512(dst + 64,
+                     igemm_quads_vnni(_mm512_permutex2var_epi32(x, hi, y)));
+}
+
+// Packs B columns [j, j + 32) ∩ [0, n) into k-quads of u8, 128 bytes per
+// quad. Ragged columns load masked (their packed lanes are never stored)
+// and rows past k load as zero, against zero A padding.
+__attribute__((target("avx512f,avx512bw,avx512vl"))) void igemm_pack_b_vnni(
+    const std::int8_t* b, std::int64_t n, std::int64_t k, std::int64_t j,
+    std::int64_t kq, std::uint8_t* dst) {
+  const std::int64_t w = std::min<std::int64_t>(32, n - j);
+  const __mmask32 cols = w >= 32 ? ~__mmask32{0} : (__mmask32{1} << w) - 1;
   for (std::int64_t q = 0; q < kq; ++q) {
     const std::int64_t p = 4 * q;
-    const __m256i r0 = igemm_b_row_vnni(b, n, k, p, j, cols);
-    const __m256i r1 = igemm_b_row_vnni(b, n, k, p + 1, j, cols);
-    const __m256i r2 = igemm_b_row_vnni(b, n, k, p + 2, j, cols);
-    const __m256i r3 = igemm_b_row_vnni(b, n, k, p + 3, j, cols);
-    const __m512i x = _mm512_inserti64x4(_mm512_castsi256_si512(r0), r1, 1);
-    const __m512i y = _mm512_inserti64x4(_mm512_castsi256_si512(r2), r3, 1);
-    const __m512i rows_lo = _mm512_permutex2var_epi32(x, lo, y);
-    const __m512i rows_hi = _mm512_permutex2var_epi32(x, hi, y);
-    _mm512_store_si512(dst + q * 128, igemm_quads_vnni(rows_lo));
-    _mm512_store_si512(dst + q * 128 + 64, igemm_quads_vnni(rows_hi));
+    igemm_pack_quad_vnni(igemm_b_row_vnni(b, n, k, p, j, cols),
+                         igemm_b_row_vnni(b, n, k, p + 1, j, cols),
+                         igemm_b_row_vnni(b, n, k, p + 2, j, cols),
+                         igemm_b_row_vnni(b, n, k, p + 3, j, cols),
+                         dst + q * 128);
   }
 }
 
@@ -1143,17 +1169,21 @@ igemm_rows_tile_vnni(std::int64_t rows, std::int64_t kq,
 
 constexpr std::int64_t kIgemmVnniMaxRows = 12;
 
-// Rows go in near-equal groups of ≤ 12 (m = 10, 20, 30 → 10, 10+10,
-// 10+10+10) against 32- and 16-column tiles: 2·12 accumulators + 2 B
-// vectors + 1 broadcast fit the 32 zmm registers. Column strips are
-// outermost, so each packed strip (≤ 128·kq bytes) is reused by every row
-// group while it is cache-hot. Ragged columns run the same tiles with a
-// masked final store; there is no scalar tail.
-void igemm_rows_vnni(std::int64_t i0, std::int64_t i1, std::int64_t n,
-                     std::int64_t k, const std::int8_t* a,
-                     const std::int8_t* b, float* c, const IgemmEpilogue& ep,
-                     std::vector<std::int32_t>& apack,
-                     std::vector<std::int16_t>& bpack) {
+// The VNNI driver of rows [i0, i1) of C (m × n, row-major) against a B
+// that `pack_b(j, kq, dst)` packs one 32-column strip at a time, as
+// igemm_pack_b_vnni lays it out. Rows go in near-equal groups of ≤ 12
+// (m = 10, 20, 30 → 10, 10+10, 10+10+10) against 32- and 16-column tiles:
+// 2·12 accumulators + 2 B vectors + 1 broadcast fit the 32 zmm registers.
+// Column strips are outermost, so each packed strip (≤ 128·kq bytes) is
+// reused by every row group while it is cache-hot. Ragged columns run the
+// same tiles with a masked final store; there is no scalar tail.
+template <typename PackB>
+void igemm_strips_vnni(std::int64_t i0, std::int64_t i1, std::int64_t n,
+                       std::int64_t k, const std::int8_t* a, float* c,
+                       const IgemmEpilogue& ep,
+                       std::vector<std::int32_t>& apack,
+                       std::vector<std::int16_t>& bpack,
+                       const PackB& pack_b) {
   // A rows as dword k-quads (zero-padded past k), then one start value
   // per row.
   const std::int64_t kq = (k + 3) / 4;
@@ -1181,7 +1211,7 @@ void igemm_rows_vnni(std::int64_t i0, std::int64_t i1, std::int64_t n,
   for (std::int64_t j = 0; j < n; j += 32) {
     const std::int64_t w = std::min<std::int64_t>(32, n - j);
     const bool wide = w > 16;
-    igemm_pack_b_vnni(b, n, k, j, kq, bbuf);
+    pack_b(j, kq, bbuf);
     const std::int64_t tail = wide ? w - 16 : w;
     const auto last = static_cast<__mmask16>((1u << tail) - 1);
     std::int64_t r = 0;
@@ -1203,6 +1233,94 @@ void igemm_rows_vnni(std::int64_t i0, std::int64_t i1, std::int64_t n,
       r += rows;
     }
   }
+}
+
+void igemm_rows_vnni(std::int64_t i0, std::int64_t i1, std::int64_t n,
+                     std::int64_t k, const std::int8_t* a,
+                     const std::int8_t* b, float* c, const IgemmEpilogue& ep,
+                     std::vector<std::int32_t>& apack,
+                     std::vector<std::int16_t>& bpack) {
+  igemm_strips_vnni(i0, i1, n, k, a, c, ep, apack, bpack,
+                    [&](std::int64_t j, std::int64_t kq, std::uint8_t* dst) {
+                      igemm_pack_b_vnni(b, n, k, j, kq, dst);
+                    });
+}
+
+// The direct int8 conv (stride 1, no pad): the strips of im2col_i8's column
+// matrix are packed straight from the image. Output pixel q = oy·out_w + ox
+// reads tap p at image offset koff[p] + oy·W + ox = koff[p] + q +
+// oy·(W − out_w), so the pixels of one output row are one contiguous run
+// of bytes per tap.
+struct IconvRun {
+  std::int64_t base;  ///< image offset of lane 0, ≥ 0, less koff[p]
+  __mmask32 lanes;    ///< the strip lanes in this output row
+};
+
+// The runs of the strip of pixels [j, j + w), w ≤ 32: at most 32 (out_w
+// 1). Lanes outside every run (past n) load nothing and pack as zero, as
+// igemm_pack_b_vnni's masked columns do; each run's unmasked lanes read
+// inside the image.
+int plan_iconv_runs(std::int64_t j, std::int64_t w, std::int64_t width,
+                    std::int64_t out_w, IconvRun* runs) {
+  const auto below = [](std::int64_t lane) {
+    return (std::uint64_t{1} << lane) - 1;
+  };
+  int count = 0;
+  for (std::int64_t q = j; q < j + w;) {
+    const std::int64_t oy = q / out_w;
+    const std::int64_t end = std::min(j + w, (oy + 1) * out_w);
+    runs[count++] = {j + oy * (width - out_w),
+                     static_cast<__mmask32>(below(end - j) & ~below(q - j))};
+    q = end;
+  }
+  return count;
+}
+
+// B row p of the strip: the merge of one masked load per run; zero for
+// p ≥ k (the padding rows of the last k-quad).
+__attribute__((target("avx512f,avx512bw,avx512vl"))) inline __m256i
+iconv_b_row_vnni(const std::int8_t* image, const std::int64_t* koff,
+                 std::int64_t k, std::int64_t p, const IconvRun* runs,
+                 int count) {
+  __m256i v = _mm256_setzero_si256();
+  if (p >= k) return v;
+  const std::int8_t* tap = image + koff[p];
+  for (int r = 0; r < count; ++r) {
+    v = _mm256_mask_loadu_epi8(v, runs[r].lanes, tap + runs[r].base);
+  }
+  return v;
+}
+
+// The quads pack exactly as igemm_pack_b_vnni packs the same rows of the
+// column matrix, so the bytes are the same.
+__attribute__((target("avx512f,avx512bw,avx512vl"))) void iconv_pack_b_vnni(
+    const std::int8_t* image, const std::int64_t* koff, std::int64_t k,
+    const IconvRun* runs, int count, std::int64_t kq, std::uint8_t* dst) {
+  for (std::int64_t q = 0; q < kq; ++q) {
+    const std::int64_t p = 4 * q;
+    igemm_pack_quad_vnni(
+        iconv_b_row_vnni(image, koff, k, p, runs, count),
+        iconv_b_row_vnni(image, koff, k, p + 1, runs, count),
+        iconv_b_row_vnni(image, koff, k, p + 2, runs, count),
+        iconv_b_row_vnni(image, koff, k, p + 3, runs, count), dst + q * 128);
+  }
+}
+
+void iconv_image_vnni(const std::int8_t* image, const std::int64_t* koff,
+                      std::int64_t width, std::int64_t out_w, std::int64_t n,
+                      std::int64_t k, const std::int8_t* weight,
+                      std::int64_t out_channels, float* out,
+                      const IgemmEpilogue& ep) {
+  thread_local std::vector<std::int32_t> apack;
+  thread_local std::vector<std::int16_t> bpack;
+  igemm_strips_vnni(
+      0, out_channels, n, k, weight, out, ep, apack, bpack,
+      [&](std::int64_t j, std::int64_t kq, std::uint8_t* dst) {
+        IconvRun runs[32];
+        const int count = plan_iconv_runs(
+            j, std::min<std::int64_t>(32, n - j), width, out_w, runs);
+        iconv_pack_b_vnni(image, koff, k, runs, count, kq, dst);
+      });
 }
 
 #pragma GCC diagnostic pop
@@ -1363,19 +1481,11 @@ void sconv_serial(std::int64_t batch, const float* image,
   static const bool has_avx512f = cpu_has_avx512f();
   if (has_avx512f && gemm_tier() == GemmTier::Avx2Fma && stride == 1 &&
       pad == 0 && n % 8 == 0 && chw <= INT32_MAX) {
-    thread_local std::vector<std::int64_t> koff;
-    koff.resize(static_cast<std::size_t>(k));
-    std::size_t p = 0;
-    for (std::int64_t c = 0; c < channels; ++c) {
-      for (std::int64_t ky = 0; ky < kernel; ++ky) {
-        for (std::int64_t kx = 0; kx < kernel; ++kx) {
-          koff[p++] = (c * height + ky) * width + kx;
-        }
-      }
-    }
+    const std::int64_t* koff = conv_tap_offsets(channels, height, width,
+                                                kernel);
     for (std::int64_t i = 0; i < batch; ++i) {
-      conv_image_avx512(out_channels, k, koff.data(), image + i * chw, width,
-                        out_w, n, weight, epilogue, out + i * out_stride);
+      conv_image_avx512(out_channels, k, koff, image + i * chw, width, out_w,
+                        n, weight, epilogue, out + i * out_stride);
     }
     return;
   }
@@ -1436,6 +1546,20 @@ void iconv_serial(const std::int8_t* image, std::int64_t channels,
     igemm_serial(out_channels, n, k, weight, image, out, epilogue);
     return;
   }
+
+#if SNE_GEMM_X86
+  // The same kernel igemm_serial picks on this host, fed straight from the
+  // image; exact integer accumulation needs no shape gate.
+  static const bool has_vnni = cpu_has_avx512_vnni();
+  if (has_vnni && gemm_tier() == GemmTier::Avx2Fma && stride == 1 &&
+      pad == 0) {
+    igemm_check(k, epilogue);
+    iconv_image_vnni(image, conv_tap_offsets(channels, height, width, kernel),
+                     width, conv_out_extent(width, kernel, pad, stride), n, k,
+                     weight, out_channels, out, epilogue);
+    return;
+  }
+#endif
 
   thread_local std::vector<std::int8_t> cols;
   cols.resize(static_cast<std::size_t>(k * n));
