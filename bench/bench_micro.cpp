@@ -259,8 +259,9 @@ void BM_ConvIgemmStepShape(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * 2 * s.cout * n * k);
-  state.SetLabel(std::string(s.name) + (entry ? " iconv_serial" : " im2col_i8") +
-                 " " + gemm_tier_name(gemm_tier()));
+  state.SetLabel(std::string(s.name) +
+                 (entry ? " iconv_serial" : " im2col_i8") + " " +
+                 gemm_tier_name(gemm_tier()));
 }
 BENCHMARK(BM_ConvIgemmStepShape)->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1}});
 

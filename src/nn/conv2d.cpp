@@ -148,8 +148,9 @@ void Conv2d::infer_quantized(const std::int8_t* qweight,
 
   out.resize({n, out_channels_, out_h, out_w});
   scratch.input.resize(static_cast<std::size_t>(chw));
-  // Quantize once per sample (O(C·H·W)); iconv_serial then lowers the
-  // int8 image (1×1 pass-through or im2col_i8 + igemm_serial).
+  // Quantize once per sample (O(C·H·W)); iconv_serial then picks the
+  // lowering (direct VNNI kernel, 1×1 pass-through or im2col_i8 + igemm)
+  // from the tier, the CPU and the shape, with the same bits every way.
   for (std::int64_t i = 0; i < n; ++i) {
     quantize_into(x.data() + i * chw, chw, input_inv_scale,
                   scratch.input.data());

@@ -4,7 +4,9 @@
 // sconv_serial, which on AVX-512F hosts at the Avx2Fma tier convolves
 // stride-1, unpadded inputs with out_h·out_w % 8 == 0 in place, without
 // the column matrix, and lowers every other case through im2col + GEMM;
-// both produce the same bits (see tensor/gemm.h).
+// both produce the same bits (see tensor/gemm.h). Quantized serving
+// (infer_quantized) calls iconv_serial, which does the same for int8 on
+// AVX-512 VNNI hosts at every stride-1, unpadded shape.
 #pragma once
 
 #include <vector>

@@ -1538,8 +1538,8 @@ void iconv_serial(const std::int8_t* image, std::int64_t channels,
                   std::int64_t pad, std::int64_t stride,
                   const std::int8_t* weight, std::int64_t out_channels,
                   float* out, const IgemmEpilogue& epilogue) {
-  const std::int64_t n = conv_out_extent(height, kernel, pad, stride) *
-                         conv_out_extent(width, kernel, pad, stride);
+  const std::int64_t out_w = conv_out_extent(width, kernel, pad, stride);
+  const std::int64_t n = conv_out_extent(height, kernel, pad, stride) * out_w;
   const std::int64_t k = channels * kernel * kernel;
 
   if (kernel == 1 && stride == 1 && pad == 0) {
@@ -1555,8 +1555,7 @@ void iconv_serial(const std::int8_t* image, std::int64_t channels,
       pad == 0) {
     igemm_check(k, epilogue);
     iconv_image_vnni(image, conv_tap_offsets(channels, height, width, kernel),
-                     width, conv_out_extent(width, kernel, pad, stride), n, k,
-                     weight, out_channels, out, epilogue);
+                     width, out_w, n, k, weight, out_channels, out, epilogue);
     return;
   }
 #endif

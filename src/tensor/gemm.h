@@ -1,6 +1,7 @@
 // gemm.h — matrix multiply kernels, the im2col/col2im lowering used by
-// the convolution layers, and sconv_serial, the fp32 serving convolution
-// (direct where the shape allows, with the same bits). These are the hot
+// the convolution layers, and the serving convolutions: sconv_serial
+// (fp32) and iconv_serial (int8), each direct where the host and shape
+// allow, with the same bits as the im2col lowering. These are the hot
 // loops of the whole training pipeline; everything else in the nn library
 // reduces to calls into this file. Two precisions live here: the f32 sgemm family (training and the
 // fp32 serving path) and the s8×s8→s32 igemm family (the quantized
@@ -204,9 +205,21 @@ void igemm_serial(std::int64_t m, std::int64_t n, std::int64_t k,
 /// square `kernel`, `pad` and `stride` of im2col_i8. Bitwise identical to
 /// im2col_i8 + igemm_serial with the same epilogue, at any tier; like
 /// igemm_serial it never dispatches to the pool and allocates nothing
-/// after its per-thread scratch has warmed up. 1×1, stride 1, no pad: the
-/// image is already the column matrix, so igemm_serial reads it directly;
-/// otherwise im2col_i8 into a per-thread column buffer, then igemm_serial.
+/// after its per-thread scratch has warmed up. The lowering follows from
+/// the tier, the CPU and the shape, never from a setting:
+/// - 1×1, stride 1, no pad: the image is already the column matrix, so
+///   igemm_serial reads it directly.
+/// - Avx2Fma tier on an AVX-512 VNNI host, stride 1, no pad: the VNNI
+///   kernel's B strips are packed straight from the image. Per 32-pixel
+///   strip, each output row's pixels are one run (a lane mask and an
+///   image offset); B row p is the merge of one masked byte load per run
+///   at tap p's offset, and the k-quads go through the GEMM's own
+///   transpose and b + 128 shift. The packed bytes are those of
+///   im2col_i8 followed by that pack, and the tiles, −128·Σa start values
+///   and requant epilogue are the GEMM's, so no bit moves; the exact
+///   integer accumulation needs no shape gate.
+/// - Otherwise im2col_i8 into a per-thread column buffer, then
+///   igemm_serial.
 /// The output extents must be positive (see conv_out_extent).
 void iconv_serial(const std::int8_t* image, std::int64_t channels,
                   std::int64_t height, std::int64_t width, std::int64_t kernel,

@@ -669,7 +669,9 @@ struct IconvOperands {
       weight.push_back(static_cast<std::int8_t>(
           std::clamp(std::lrintf(f * 128.0f), -127L, 127L)));
     }
-    for (const float f : v.fill(s.cout)) scale.push_back(0.001f + 0.01f * std::fabs(f));
+    for (const float f : v.fill(s.cout)) {
+      scale.push_back(0.001f + 0.01f * std::fabs(f));
+    }
     bias = v.fill(s.cout);
     slope = v.fill(s.cout);
   }
