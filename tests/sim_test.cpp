@@ -3,8 +3,11 @@
 // dataset builder (determinism, flux recovery, class balance).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <map>
+#include <utility>
 
 #include "astro/photometry.h"
 #include "sim/artifacts.h"
@@ -89,6 +92,73 @@ TEST(Psf, SubPixelCentroid) {
     }
   }
   EXPECT_NEAR(cx / stamp.sum(), 10.4, 0.01);
+}
+
+// The pre-hoisting renderer, verbatim: both erf calls of the column
+// factor evaluated for every pixel of the ±5σ box.
+Tensor per_pixel_erf_reference(const GaussianPsf& psf, std::int64_t height,
+                               std::int64_t width, double cy, double cx,
+                               double flux) {
+  Tensor stamp({height, width});
+  const double inv = 1.0 / (std::sqrt(2.0) * psf.sigma());
+  const double reach = 5.0 * psf.sigma() + 1.0;
+  const auto y_lo = std::max<std::int64_t>(
+      0, static_cast<std::int64_t>(std::floor(cy - reach)));
+  const auto y_hi = std::min<std::int64_t>(
+      height - 1, static_cast<std::int64_t>(std::ceil(cy + reach)));
+  const auto x_lo = std::max<std::int64_t>(
+      0, static_cast<std::int64_t>(std::floor(cx - reach)));
+  const auto x_hi = std::min<std::int64_t>(
+      width - 1, static_cast<std::int64_t>(std::ceil(cx + reach)));
+  for (std::int64_t y = y_lo; y <= y_hi; ++y) {
+    const double fy = 0.5 * (std::erf((y + 0.5 - cy) * inv) -
+                             std::erf((y - 0.5 - cy) * inv));
+    for (std::int64_t x = x_lo; x <= x_hi; ++x) {
+      const double fx = 0.5 * (std::erf((x + 0.5 - cx) * inv) -
+                               std::erf((x - 0.5 - cx) * inv));
+      stamp[y * width + x] = static_cast<float>(flux * fy * fx);
+    }
+  }
+  return stamp;
+}
+
+TEST(Psf, GaussianPointSourceMatchesPerPixelErfBitwise) {
+  struct Stamp {
+    std::int64_t h, w;
+  };
+  const Stamp stamps[] = {{1, 1}, {1, 17}, {17, 1}, {13, 29}, {44, 44}};
+  std::int64_t compared = 0;
+  for (const double fwhm : {1.0, 2.5, 4.5, 9.0}) {
+    const GaussianPsf psf(fwhm);
+    for (const Stamp& s : stamps) {
+      const double h = static_cast<double>(s.h);
+      const double w = static_cast<double>(s.w);
+      // Sub-pixel centres inside, boxes clipped at each edge and corner,
+      // and centres outside the stamp (near and far).
+      const std::pair<double, double> centres[] = {
+          {0.5 * h + 0.37, 0.5 * w - 0.21}, {0.3, 0.5 * w + 0.4},
+          {h - 1.3, 0.5 * w - 0.6},          {0.5 * h - 0.2, 0.45},
+          {0.5 * h + 0.7, w - 0.55},         {0.1, 0.2},
+          {h - 0.4, w - 0.9},                {-2.6, 0.5 * w},
+          {0.5 * h, w + 3.3},                {-60.0, -60.0},
+          {h + 80.5, 0.5 * w}};
+      for (const auto& [cy, cx] : centres) {
+        const Tensor got =
+            psf.render_point_source(s.h, s.w, cy, cx, 137.25);
+        const Tensor want =
+            per_pixel_erf_reference(psf, s.h, s.w, cy, cx, 137.25);
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              static_cast<std::size_t>(got.size()) *
+                                  sizeof(float)),
+                  0)
+            << "fwhm " << fwhm << " stamp " << s.h << "x" << s.w
+            << " centre (" << cy << ", " << cx << ")";
+        ++compared;
+      }
+    }
+  }
+  EXPECT_EQ(compared, 4 * 5 * 11);
 }
 
 TEST(Psf, MatchingSigmaQuadrature) {

@@ -5,6 +5,7 @@
 // adapter, and the repository benchmark's pinned canary nights.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <iterator>
 #include <map>
@@ -227,6 +228,51 @@ TEST(NightStream, ResetReplaysTheSameNight) {
   EXPECT_EQ(flatten(again), bytes);
 }
 
+// A mostly-bogus night (every artifact kind occurs) digested byte for
+// byte: the tier-1 crops, the pairs and the meta rows of every batch. The
+// rendered bits follow the compiler flags (libm calls, contraction), so
+// like BenchmarkCanary.* the digest pins the Release build.
+TEST(NightStream, BatchesMatchGoldenDigest) {
+#ifndef SNE_BENCHMARK_FLAGS
+  GTEST_SKIP() << "the night digest is pinned for the Release build only";
+#endif
+  const sim::SnDataset data = small_dataset();
+  stream::NightConfig cfg = small_night();
+  cfg.candidates = 64;
+  cfg.field = 16;
+  cfg.batch = 32;
+  cfg.real_fraction = 0.1;
+  cfg.seed = 4242;
+  stream::NightStream night(data, range_indices(data.size()), cfg);
+
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  const auto mix = [&h](const Tensor& t) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(t.data());
+    for (std::size_t i = 0; i < static_cast<std::size_t>(t.size()) *
+                                    sizeof(float);
+         ++i) {
+      h ^= bytes[i];
+      h *= 0x100000001B3ULL;
+    }
+  };
+  std::int64_t real = 0;
+  std::int64_t bogus = 0;
+  stream::AlertBatch batch;
+  while (night.next(batch)) {
+    mix(batch.tier1);
+    mix(batch.pair);
+    mix(batch.meta);
+    for (std::int64_t a = 0; a < batch.size(); ++a) {
+      const float flag =
+          batch.meta.data()[a * stream::meta::kColumns + stream::meta::kReal];
+      ++(flag != 0.0f ? real : bogus);
+    }
+  }
+  EXPECT_GT(real, 0);
+  EXPECT_GE(bogus, 200);
+  EXPECT_EQ(h, 0x87095a957314ea21ULL) << std::hex << "got 0x" << h;
+}
+
 // ---- FilterCascade --------------------------------------------------
 
 TEST(FilterCascade, PassAllThresholdCompletesEveryCandidate) {
@@ -371,6 +417,69 @@ TEST(FilterCascade, TinyMaxPendingEvictsInsteadOfGrowing) {
   EXPECT_GE(cascade.counts().evicted + cascade.counts().tiers[1].in +
                 cascade.counts().incomplete,
             ncfg.candidates);
+}
+
+// With max_pending >= field, FIFO eviction only drops candidates that can
+// no longer complete: all five alerts of a candidate arrive within its
+// field block, and whatever is still pending from an earlier field is
+// older than every candidate of the current one. So each candidate whose
+// five alerts all pass tier-1 reaches the joint tier.
+TEST(FilterCascade, MaxPendingOfOneFieldNeverEvictsACompletableCandidate) {
+  const sim::SnDataset data = small_dataset();
+  Rng rng(5);
+  stream::Tier1Config t1cfg;
+  t1cfg.crop = kCrop;
+  const stream::Tier1Cnn tier1(t1cfg, rng);
+  const core::JointModel joint(joint_config(), rng);
+  stream::NightConfig ncfg = small_night();
+  ncfg.candidates = 96;
+
+  // Score every alert once, outside the cascade, and pick a threshold
+  // that passes about 80% of them: most candidates then lose some band
+  // and pile up at the gate, while a good share completes.
+  infer::InferenceSession session(stream::compile_tier1_plan(tier1));
+  std::vector<std::pair<std::int64_t, std::int64_t>> alerts;  // (cand, band)
+  std::vector<float> scores;
+  {
+    stream::NightStream night(data, range_indices(data.size()), ncfg);
+    stream::AlertBatch batch;
+    Tensor out;
+    while (night.next(batch)) {
+      session.run(batch.tier1.view(), out);
+      for (std::int64_t a = 0; a < batch.size(); ++a) {
+        const float* m = batch.meta.data() + a * stream::meta::kColumns;
+        alerts.emplace_back(
+            static_cast<std::int64_t>(m[stream::meta::kCandidate]),
+            static_cast<std::int64_t>(m[stream::meta::kBand]));
+        scores.push_back(out[a]);
+      }
+    }
+  }
+  std::vector<float> sorted = scores;
+  std::sort(sorted.begin(), sorted.end());
+  const float threshold = sorted[sorted.size() / 5];
+  std::map<std::int64_t, int> passed_bands;
+  for (std::size_t k = 0; k < alerts.size(); ++k) {
+    if (scores[k] > threshold) ++passed_bands[alerts[k].first];
+  }
+  std::vector<std::int64_t> completable;
+  for (const auto& [candidate, bands] : passed_bands) {
+    if (bands == astro::kNumBands) completable.push_back(candidate);
+  }
+  ASSERT_FALSE(completable.empty());
+
+  stream::NightStream night(data, range_indices(data.size()), ncfg);
+  stream::CascadeConfig ccfg = cascade_config(tier1, joint, threshold);
+  ccfg.max_pending = ncfg.field;
+  const stream::FilterCascade cascade = stream::run_night(night, ccfg);
+
+  EXPECT_GT(cascade.counts().evicted, 0);  // the bound does bite
+  std::vector<std::int64_t> judged;
+  for (const stream::Verdict& v : cascade.verdicts()) {
+    judged.push_back(v.candidate);
+  }
+  std::sort(judged.begin(), judged.end());
+  EXPECT_EQ(judged, completable);
 }
 
 TEST(FilterCascade, PushAfterFinishThrows) {
