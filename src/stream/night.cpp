@@ -1,6 +1,7 @@
 #include "stream/night.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <utility>
 
@@ -19,6 +20,8 @@ std::uint64_t mix(std::uint64_t x) {
   x ^= x >> 33;
   return x;
 }
+
+float tier1_pixel(float d) { return static_cast<float>(astro::signed_log(d)); }
 
 }  // namespace
 
@@ -147,6 +150,10 @@ const NightStream::PoolEntry& NightStream::pooled(std::int64_t slot,
               fresh.pair.data() + ref.size());
     fresh.diff_crop = sim::center_crop(
         data_->difference_image(i, band, e), config_.crop);
+    fresh.log_crop = Tensor(fresh.diff_crop.shape());
+    std::transform(fresh.diff_crop.data(),
+                   fresh.diff_crop.data() + fresh.diff_crop.size(),
+                   fresh.log_crop.data(), tier1_pixel);
     fresh.date = static_cast<float>(core::normalize_date(
         data_->band_epoch(i, band, e).mjd,
         data_->config().schedule.start_mjd, config_.features));
@@ -172,8 +179,11 @@ bool NightStream::produce(AlertBatch& out) {
     const bool real = slot_real_[static_cast<std::size_t>(slot)];
     const PoolEntry& entry = pooled(slot, band);
 
-    const float* diff = entry.diff_crop.data();
-    if (!real) {
+    const float* cached = entry.log_crop.data();
+    float* tier1_row = out.tier1.data() + n * c2;
+    if (real) {
+      std::copy(cached, cached + c2, tier1_row);
+    } else {
       // Mint this alert's artifact on a copy of the pooled difference:
       // candidates sharing a slot still produce distinct bogus stamps.
       bogus_diff = entry.diff_crop;
@@ -186,11 +196,17 @@ bool NightStream::produce(AlertBatch& out) {
       const auto kind = sim::kAllArtifactKinds[static_cast<std::size_t>(
           rng.uniform_index(sim::kAllArtifactKinds.size()))];
       sim::inject_artifact(bogus_diff, kind, amplitude, rng);
-      diff = bogus_diff.data();
-    }
-    float* tier1_row = out.tier1.data() + n * c2;
-    for (std::int64_t p = 0; p < c2; ++p) {
-      tier1_row[p] = static_cast<float>(astro::signed_log(diff[p]));
+      // signed_log is a pure function of its input bits, so a pixel the
+      // artifact left bit-identical (±0 and NaN payloads compare as
+      // different) reuses the entry's cached value.
+      const float* pooled_diff = entry.diff_crop.data();
+      const float* diff = bogus_diff.data();
+      for (std::int64_t p = 0; p < c2; ++p) {
+        tier1_row[p] = std::bit_cast<std::uint32_t>(diff[p]) ==
+                               std::bit_cast<std::uint32_t>(pooled_diff[p])
+                           ? cached[p]
+                           : tier1_pixel(diff[p]);
+      }
     }
 
     std::copy(entry.pair.data(), entry.pair.data() + 2 * s2,

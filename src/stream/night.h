@@ -14,9 +14,14 @@
 //     night tiles candidates over the pool); entries render lazily on
 //     the producer thread and stay cached for the stream's lifetime →
 //     peak RSS is O(pool + batch·depth), independent of night length;
+//   * a pool entry also holds the signed-log of its difference crop
+//     (pool × 5 bands × crop² × 4 B, 441 KB at pool 50 and crop 21), so
+//     a real alert's tier-1 row is a copy;
 //   * bogus candidates are minted per-alert by injecting a seeded
 //     artifact into a copy of the pooled difference crop, so two
-//     candidates sharing a pool slot still differ.
+//     candidates sharing a pool slot still differ. The artifact is
+//     local: only the pixels whose bits it changed are signed-logged
+//     again, the rest reuse the entry's cached values.
 //
 // Arrival schedule — field-blocked band sweep, the way a survey scans:
 // candidates are partitioned into fields of `field`, and each field is
@@ -104,6 +109,7 @@ class NightStream {
   struct PoolEntry {
     Tensor pair;       ///< [2, S, S]
     Tensor diff_crop;  ///< [crop, crop] raw difference pixels
+    Tensor log_crop;   ///< [crop, crop] signed-log of diff_crop (tier-1)
     float date = 0.0f;
   };
 
