@@ -22,10 +22,9 @@ Tensor GaussianPsf::render_point_source(std::int64_t height,
   }
   Tensor stamp({height, width});
   const double inv = 1.0 / (std::sqrt(2.0) * sigma_);
-  // Per-pixel integral of the 2-d Gaussian factorizes into erf differences,
-  // a row factor fy times a column factor fx, so each is evaluated once per
-  // row or column of the box rather than once per pixel. Only a ±5σ box
-  // contributes above float precision.
+  // Per-pixel integral of the 2-d Gaussian factorizes into erf differences:
+  // a row factor fy times a column factor fx, each evaluated once per row or
+  // column of the box. Only a ±5σ box contributes above float precision.
   const double reach = 5.0 * sigma_ + 1.0;
   const auto y_lo = std::max<std::int64_t>(
       0, static_cast<std::int64_t>(std::floor(cy - reach)));

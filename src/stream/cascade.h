@@ -69,7 +69,11 @@ struct CascadeConfig {
   std::int64_t joint_batch = 32;  ///< completed rows per joint evaluation
   /// Completion-gate bound: most pending (incomplete) candidates held at
   /// once; the oldest is evicted beyond this. With the field-blocked
-  /// night schedule a bound of ~2 fields never evicts.
+  /// night schedule a bound of at least one field never evicts a
+  /// candidate that can still complete: its five alerts arrive within its
+  /// field block, and everything pending from earlier fields (a band lost
+  /// to a per-alert tier) is older, so FIFO drops those first. Evicted and
+  /// incomplete counts are such dead candidates.
   std::int64_t max_pending = 1024;
 };
 

@@ -127,7 +127,6 @@ TEST(Psf, GaussianPointSourceMatchesPerPixelErfBitwise) {
     std::int64_t h, w;
   };
   const Stamp stamps[] = {{1, 1}, {1, 17}, {17, 1}, {13, 29}, {44, 44}};
-  std::int64_t compared = 0;
   for (const double fwhm : {1.0, 2.5, 4.5, 9.0}) {
     const GaussianPsf psf(fwhm);
     for (const Stamp& s : stamps) {
@@ -154,11 +153,9 @@ TEST(Psf, GaussianPointSourceMatchesPerPixelErfBitwise) {
                   0)
             << "fwhm " << fwhm << " stamp " << s.h << "x" << s.w
             << " centre (" << cy << ", " << cx << ")";
-        ++compared;
       }
     }
   }
-  EXPECT_EQ(compared, 4 * 5 * 11);
 }
 
 TEST(Psf, MatchingSigmaQuadrature) {
