@@ -7,7 +7,8 @@
 // passes it replaces. Also pins the fp32 and int8 conv serving entries
 // (bitwise equal to the im2col lowering, and never reading past the
 // image) and the 1×1 conv fast path: bitwise equal to the im2col lowering
-// and free of column-buffer allocations.
+// and free of column-buffer allocations. sgemm_bt and the serving max-pool
+// must match their scalar loops bit for bit on every tier.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -400,6 +401,99 @@ TEST(GemmDispatch, Avx2TierVectorColumnsAreFmaChainsInKOrder) {
   EXPECT_GT(checked, 0);
 }
 
+// ---- sgemm_bt ----
+//
+// sgemm_bt is one dot product per output in double: even k into one
+// chain, odd k into another, then C += alpha · float(sum). float × float
+// is exact in double, so fused or not, each step rounds once and the
+// result is a function of the operands alone, on every tier and build.
+// This is that loop, copied; sgemm_bt must match it bit for bit.
+void sgemm_bt_reference(std::int64_t m, std::int64_t n, std::int64_t k,
+                        float alpha, const float* a, const float* b,
+                        float beta, float* c) {
+  for (std::int64_t i = 0; i < m * n; ++i) {
+    c[i] = beta == 0.0f ? 0.0f : beta == 1.0f ? c[i] : beta * c[i];
+  }
+  if (alpha == 0.0f) return;
+  for (std::int64_t i = 0; i < m; ++i) {
+    const float* ai = a + i * k;
+    for (std::int64_t j = 0; j < n; ++j) {
+      const float* bj = b + j * k;
+      double acc0 = 0.0, acc1 = 0.0;
+      std::int64_t p = 0;
+      for (; p + 2 <= k; p += 2) {
+        acc0 += static_cast<double>(ai[p]) * bj[p];
+        acc1 += static_cast<double>(ai[p + 1]) * bj[p + 1];
+      }
+      if (p < k) acc0 += static_cast<double>(ai[p]) * bj[p];
+      c[i * n + j] += alpha * static_cast<float>(acc0 + acc1);
+    }
+  }
+}
+
+// Operands over the float special cases: ±0 and subnormals scattered
+// through A and B, values near FLT_MAX (whose double sums round to ±Inf as
+// floats), and a few ±Inf and NaN entries, placed so most outputs stay
+// finite. Every NaN is the x86 default NaN (sign set, zero payload), the
+// one Inf·0 and Inf − Inf produce: where two NaNs meet, IEEE leaves which
+// payload survives to the operand order the compiler picked, so a second
+// NaN pattern would pin that choice instead of the kernel.
+std::vector<float> special_operand(PinValues& v, std::int64_t rows,
+                                   std::int64_t k, bool poison) {
+  const float nan = -std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  constexpr float kSpecial[] = {0.0f,     -0.0f,    1e-40f, -3e-39f,
+                                0x1p-149f, 3.0e38f, -2.5e38f};
+  std::vector<float> x = v.fill(rows * k);
+  for (float& e : x) {
+    const float r = v.next();
+    if (r < -0.8f) e = kSpecial[static_cast<int>((r + 1.0f) * 35.0f) % 7];
+  }
+  if (poison) {
+    x[0] = nan;
+    if (rows > 2) x[static_cast<std::size_t>(2 * k + k / 2)] = inf;
+    if (rows > 4) x[static_cast<std::size_t>(4 * k + k - 1)] = -inf;
+  }
+  return x;
+}
+
+TEST(GemmDispatch, SgemmBtMatchesScalarLoopBitwise) {
+  constexpr std::int64_t kExtent[] = {1, 15, 16, 17, 33, 64};
+  constexpr std::int64_t kDepth[] = {1, 2, 3, 64, 257};
+  TierGuard guard;
+  std::int64_t checked = 0;
+  for (const GemmTier tier : {GemmTier::Scalar, GemmTier::Avx2Fma}) {
+    if (!gemm_tier_supported(tier)) continue;
+    set_gemm_tier(tier);
+    for (const std::int64_t m : kExtent) {
+      for (const std::int64_t n : kExtent) {
+        for (const std::int64_t k : kDepth) {
+          PinValues v{static_cast<std::uint64_t>((m * 512 + n) * 512 + k)};
+          const std::vector<float> a = special_operand(v, m, k, true);
+          const std::vector<float> b = special_operand(v, n, k, n > 8);
+          const std::vector<float> c0 = special_operand(v, m, n, false);
+          for (const float alpha : {1.0f, -0.5f}) {
+            for (const float beta : {0.0f, 1.0f}) {
+              std::vector<float> want = c0;
+              sgemm_bt_reference(m, n, k, alpha, a.data(), b.data(), beta,
+                                 want.data());
+              std::vector<float> got = c0;
+              sgemm_bt(m, n, k, alpha, a.data(), b.data(), beta, got.data());
+              ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                    want.size() * sizeof(float)),
+                        0)
+                  << gemm_tier_name(tier) << " m=" << m << " n=" << n
+                  << " k=" << k << " alpha=" << alpha << " beta=" << beta;
+              ++checked;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0);
+}
+
 // ---- fp32 conv serving entry ----
 //
 // Conv2d::infer_with must produce exactly the bits of the explicit
@@ -500,6 +594,9 @@ TEST(GemmDispatch, DirectConvMatchesIm2colGemmBitwise) {
       }
     }
   }
+  // Tier-1 conv0 as the plan runs it: 289 output pixels, so the last one
+  // is a scalar-tail column of the im2col lowering.
+  cases.push_back({1, 21, 21, 8, 1, 0, 2});
   // Lowerings that stay on im2col whatever the shape.
   for (const std::int64_t cout : {std::int64_t{10}, std::int64_t{13}}) {
     cases.push_back({3, 12, 12, cout, 1, 2, 2});
@@ -609,9 +706,14 @@ TEST(GemmDispatch, DirectConvNeverReadsPastTheImage) {
   constexpr std::int64_t kKernel = 5;
   // (8, 22): rows of 18 outputs break inside vectors and the 72 outputs
   // end in an 8-lane tail; (10, 8): rows of 4 outputs are gathered and the
-  // 24 outputs end in an 8-lane tail. In both, the last tap of the last
-  // output reads the image's last float.
-  const ConvCase shapes[] = {{3, 8, 22, 10, 1, 0, 2}, {20, 10, 8, 30, 1, 0, 2}};
+  // 24 outputs end in an 8-lane tail; (21, 21): tier-1 conv0, whose 289th
+  // output is a scalar-tail column of the lowering; (9, 11): rows of 7
+  // gathered outputs, 35 in all, the last 3 in scalar-tail columns. In
+  // each, the last tap of the last output reads the image's last float.
+  const ConvCase shapes[] = {{3, 8, 22, 10, 1, 0, 2},
+                             {20, 10, 8, 30, 1, 0, 2},
+                             {1, 21, 21, 8, 1, 0, 2},
+                             {3, 9, 11, 13, 1, 0, 2}};
   for (const ConvCase& s : shapes) {
     const ConvOperands in(s, 1, kKernel);
     const std::int64_t chw = s.cin * s.h * s.w;
@@ -1125,6 +1227,86 @@ TEST(MaxPoolDispatch, VectorPlanePoolMatchesScalarWalkBitwise) {
   // The all-NaN window must have stayed NaN on both paths.
   EXPECT_TRUE(std::isnan(ref.data()[0]));
   EXPECT_TRUE(std::isnan(got.data()[0]));
+}
+
+// A pooling input of the given shape: normal values with about one in
+// eight replaced by a NaN (four payloads, both signs, so a window that
+// keeps the wrong NaN shows) and one in sixteen by ±0 (the first-seen-zero
+// tie).
+Tensor pool_input(std::int64_t n, std::int64_t c, std::int64_t h,
+                  std::int64_t w) {
+  constexpr std::uint32_t kNan[] = {0x7fc00000u, 0xffc00000u, 0x7fc00123u,
+                                    0xffd00042u};
+  PinValues v{static_cast<std::uint64_t>(((n * 64 + c) * 64 + h) * 64 + w)};
+  Tensor x({n, c, h, w});
+  for (std::int64_t i = 0; i < x.size(); ++i) {
+    const float r = v.next();
+    float e = v.next();
+    if (r < -0.75f) {
+      std::memcpy(&e, &kNan[static_cast<int>((r + 1.0f) * 16.0f) % 4],
+                  sizeof(e));
+    } else if (r > 0.875f) {
+      e = r > 0.9375f ? 0.0f : -0.0f;
+    }
+    x.data()[i] = e;
+  }
+  return x;
+}
+
+TEST(MaxPoolDispatch, NarrowAndRaggedPlanesMatchScalarWalkBitwise) {
+  // Planes narrower than 8 output columns (ow 1–7: tier-1's and the joint
+  // model's last 4×4 → 2×2 pools among them) over many planes per batch,
+  // odd extents whose last input row or column no window reads, and wide
+  // planes whose ow % 8 columns end each output row.
+  struct PoolShape {
+    std::int64_t n, c, h, w;
+  };
+  std::vector<PoolShape> shapes = {{64, 16, 4, 4}, {32, 30, 4, 4},
+                                   {1, 1, 2, 2},   {1, 3, 3, 3},
+                                   {2, 1, 9, 23},  {3, 2, 5, 46}};
+  for (const std::int64_t h : {2, 3, 5, 8, 9}) {
+    for (std::int64_t w = 2; w <= 15; ++w) shapes.push_back({3, 5, h, w});
+    for (const std::int64_t w : {18, 19, 22, 30, 31}) {
+      shapes.push_back({2, 3, h, w});
+    }
+  }
+  if (!vector_tier_available()) GTEST_SKIP() << "no AVX2+FMA on this CPU";
+  const nn::MaxPool2d pool(2);
+  TierGuard guard;
+  for (const PoolShape& s : shapes) {
+    const Tensor x = pool_input(s.n, s.c, s.h, s.w);
+    set_gemm_tier(GemmTier::Scalar);
+    Tensor ref;
+    pool.infer_into(x, ref);
+    set_gemm_tier(GemmTier::Avx2Fma);
+    Tensor got;
+    pool.infer_into(x, got);
+    EXPECT_TRUE(same_bits(got, ref)) << "n=" << s.n << " c=" << s.c
+                                     << " h=" << s.h << " w=" << s.w;
+  }
+}
+
+TEST(MaxPoolDispatch, VectorPoolNeverReadsPastTheInput) {
+  if (!vector_tier_available()) GTEST_SKIP() << "no AVX2+FMA on this CPU";
+  TierGuard guard;
+  const nn::MaxPool2d pool(2);
+  // Narrow planes (ow = 3, 15 planes: the last vector is partial) and a
+  // wide one with a 3-column tail, each ending flush with the guard page.
+  const Shape shapes[] = {{3, 5, 6, 7}, {2, 3, 6, 22}, {1, 1, 4, 4}};
+  for (const Shape& shape : shapes) {
+    const Tensor x = pool_input(shape[0], shape[1], shape[2], shape[3]);
+    GuardedBuffer buf(static_cast<std::size_t>(x.size()) * sizeof(float));
+    ASSERT_TRUE(buf.ok());
+    float* in = buf.tail<float>(x.size());
+    std::copy(x.data(), x.data() + x.size(), in);
+    set_gemm_tier(GemmTier::Scalar);
+    Tensor ref;
+    pool.infer_into(x, ref);
+    set_gemm_tier(GemmTier::Avx2Fma);
+    Tensor got;
+    pool.infer_into(ConstTensorView(in, shape), got);
+    EXPECT_TRUE(same_bits(got, ref)) << "w=" << shape[3];
+  }
 }
 
 // ---- quantize helpers feeding igemm ----

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "nn/nn.h"
@@ -169,6 +170,38 @@ TEST(PReLU, PerChannelSlopes) {
   const Tensor y = act.forward(x);
   EXPECT_FLOAT_EQ(y[0], -1.0f);
   EXPECT_FLOAT_EQ(y[1], -9.0f);
+}
+
+TEST(PReLU, InferIntoMatchesForwardBitwise) {
+  // [N, C] rows (the FC-stage PReLU, one value per channel) and [N, C, H, W]
+  // planes, over NaN, ±0, ±Inf and subnormal inputs and per-channel slopes.
+  for (const Shape& shape : {Shape{37, 32}, Shape{1, 3}, Shape{5, 4, 3, 7}}) {
+    const std::int64_t channels = shape[1];
+    PReLU act(channels, 0.25f);
+    Rng rng(static_cast<std::uint64_t>(channels * 131 + shape[0]));
+    act.params()[0]->value =
+        Tensor::rand_uniform({channels}, rng, -0.5f, 1.5f);
+    Tensor x = Tensor::randn(shape, rng);
+    const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                              -std::numeric_limits<float>::quiet_NaN(),
+                              0.0f,
+                              -0.0f,
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              -1e-40f,
+                              1e-40f};
+    for (std::int64_t i = 0; i < x.size(); i += 3) {
+      x[i] = specials[static_cast<std::size_t>(i / 3) % 8];
+    }
+    const Tensor want = act.forward(x);
+    Tensor got;
+    act.infer_into(x, got);
+    ASSERT_EQ(got.shape(), want.shape());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          sizeof(float) * static_cast<std::size_t>(got.size())),
+              0)
+        << got.shape_string();
+  }
 }
 
 TEST(ReLU, ClampsNegatives) {

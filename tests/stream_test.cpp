@@ -829,5 +829,44 @@ TEST(BenchmarkCanary, JointAllKeysOnScalarTier) {
                 0xe16a9f4e6471bc91ULL);
 }
 
+// The canary digests verdicts, which hide most tier-1 score bits behind
+// the threshold. This pins the logits themselves: a seeded tier-1 model's
+// compiled plan over a seeded batch of 21×21 crops, every step of the
+// serving path (conv0 at 289 output pixels, the 8×8 and 4×4 max-pools,
+// both Linears and the [N, 32] PReLU). Gated like the canary keys.
+void expect_tier1_logits(GemmTier tier, std::uint64_t want) {
+#ifndef SNE_BENCHMARK_FLAGS
+  GTEST_SKIP() << "tier-1 logits are pinned for the Release build only";
+#endif
+  if (!gemm_tier_supported(tier)) {
+    GTEST_SKIP() << "no " << gemm_tier_name(tier) << " tier on this CPU";
+  }
+  const GemmTier previous = gemm_tier();
+  set_gemm_tier(tier);
+  Rng rng(2211);
+  stream::Tier1Config t1cfg;
+  t1cfg.crop = kCrop;
+  const stream::Tier1Cnn tier1(t1cfg, rng);
+  infer::InferenceSession session = stream::make_tier1_session(tier1);
+  const Tensor crops = Tensor::randn({37, 1, kCrop, kCrop}, rng, 0.0f, 1.5f);
+  const Tensor logits = session.run(crops);
+  set_gemm_tier(previous);
+
+  ASSERT_EQ(logits.shape(), (Shape{37, 1}));
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(logits.data());
+  for (std::size_t i = 0;
+       i < static_cast<std::size_t>(logits.size()) * sizeof(float); ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001B3ULL;
+  }
+  EXPECT_EQ(h, want) << std::hex << "got 0x" << h;
+}
+
+TEST(Tier1, LogitsMatchGoldenDigest) {
+  expect_tier1_logits(GemmTier::Avx2Fma, 0x80dae71273721bd7ULL);
+  expect_tier1_logits(GemmTier::Scalar, 0x6ba70a95fe965b57ULL);
+}
+
 }  // namespace
 }  // namespace sne
