@@ -129,13 +129,51 @@ void BM_ConvGemmShape(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvGemmShape)->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1}});
 
+// The Linear steps of the served models, as Linear::infer_into calls
+// sgemm_bt: m×n×k = batch rows × output features × input features. First
+// arg the shape, second the tier (0 scalar, 1 avx2). Both tiers produce
+// the same bits; the avx2 tier runs sixteen double dot products per pass.
+struct SgemmBtShape {
+  const char* name;
+  std::int64_t m, n, k;
+};
+constexpr SgemmBtShape kSgemmBtShapes[] = {
+    {"tier1_fc1", 64, 32, 64},        {"tier1_out", 64, 1, 32},
+    {"joint_cnn_fc1", 160, 64, 120},  {"joint_cnn_fc2", 160, 32, 64},
+    {"joint_highway", 32, 100, 100},
+};
+
+void BM_SgemmBtShape(benchmark::State& state) {
+  const SgemmBtShape& s = kSgemmBtShapes[state.range(0)];
+  const auto tier = static_cast<GemmTier>(state.range(1));
+  if (!gemm_tier_supported(tier)) {
+    state.SkipWithError("kernel tier not supported on this CPU");
+    return;
+  }
+  const GemmTier prev = gemm_tier();
+  set_gemm_tier(tier);
+  Rng rng(1);
+  const Tensor a = Tensor::randn({s.m, s.k}, rng);
+  const Tensor w = Tensor::randn({s.n, s.k}, rng);
+  Tensor c({s.m, s.n});
+  for (auto _ : state) {
+    sgemm_bt(s.m, s.n, s.k, 1.0f, a.data(), w.data(), 0.0f, c.data());
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * s.m * s.n * s.k);
+  state.SetLabel(std::string(s.name) + " " + gemm_tier_name(tier));
+  set_gemm_tier(prev);
+}
+BENCHMARK(BM_SgemmBtShape)->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1}});
+
 // The whole fp32 conv step at the same shapes, as the plan runs it per
 // image with the folded bias + PReLU epilogue: second arg 0 is the im2col
 // lowering (im2col, then sgemm_serial), 1 is sconv_serial, which the
 // plan's Conv2d step calls. On an AVX-512F host at the avx2 tier,
-// sconv_serial runs its direct kernel wherever out_h·out_w % 8 == 0
-// (every shape here but tier1_conv0's 289 pixels) and the im2col lowering
-// elsewhere. Both produce the same bits.
+// sconv_serial runs its direct kernel on every shape here; tier1_conv0's
+// 289th pixel goes through sgemm_serial's scalar-tail loops on a one-column
+// slab, as in the im2col lowering. Both produce the same bits.
 struct ConvStepShape {
   const char* name;
   std::int64_t cin, size, cout;  // kernel 5, stride 1, no pad

@@ -47,6 +47,19 @@ void PReLU::infer_into(ConstTensorView x, Tensor& out) const {
   const std::int64_t n = x.extent(0);
   const std::int64_t spatial = x.size() / (n * channels_);
   out.resize(x.shape());
+  if (spatial == 1) {
+    // [N, C] (the FC stages): one select per element along each row's
+    // contiguous channels, so the loop vectorizes.
+    const float* slope = slope_.value.data();
+    for (std::int64_t i = 0; i < n; ++i) {
+      const float* src = x.data() + i * channels_;
+      float* dst = out.data() + i * channels_;
+      for (std::int64_t c = 0; c < channels_; ++c) {
+        dst[c] = src[c] > 0.0f ? src[c] : slope[c] * src[c];
+      }
+    }
+    return;
+  }
   for (std::int64_t i = 0; i < n; ++i) {
     for (std::int64_t c = 0; c < channels_; ++c) {
       const float a = slope_.value[c];

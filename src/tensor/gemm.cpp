@@ -550,14 +550,16 @@ __attribute__((target("avx512f"))) void conv_strip_avx512(
   }
 }
 
-// One image: out[m × n] = epilogue(w[m × k] · columns), the columns read
-// in place through koff. Output channels go in the near-equal groups of at
-// most 12 rows of gemm_block_avx512, against 32-pixel strips (16 for the
-// last one when at most 16 pixels are left).
+// One image: the first n output pixels of out[m × ldo] =
+// epilogue(w[m × k] · columns), the columns read in place through koff.
+// Output channels go in the near-equal groups of at most 12 rows of
+// gemm_block_avx512, against 32-pixel strips (16 for the last one when at
+// most 16 pixels are left).
 void conv_image_avx512(std::int64_t m, std::int64_t k,
                        const std::int64_t* koff, const float* image,
                        std::int64_t width, std::int64_t out_w, std::int64_t n,
-                       const float* w, const GemmEpilogue& ep, float* out) {
+                       std::int64_t ldo, const float* w,
+                       const GemmEpilogue& ep, float* out) {
   const std::int64_t groups = (m + kAvx512MaxRows - 1) / kAvx512MaxRows;
   for (std::int64_t q = 0; q < n; q += 32) {
     ConvLanes lanes[2];
@@ -575,10 +577,10 @@ void conv_image_avx512(std::int64_t m, std::int64_t k,
       const float* prelu = ep.prelu != nullptr ? ep.prelu + i : nullptr;
       if (wide) {
         conv_strip_avx512<2>(load, rows, k, koff, image, lanes, w + i * k,
-                             bias, prelu, out + i * n + q, n);
+                             bias, prelu, out + i * ldo + q, ldo);
       } else {
         conv_strip_avx512<1>(load, rows, k, koff, image, lanes, w + i * k,
-                             bias, prelu, out + i * n + q, n);
+                             bias, prelu, out + i * ldo + q, ldo);
       }
       i += rows;
     }
@@ -602,6 +604,84 @@ const std::int64_t* conv_tap_offsets(std::int64_t channels,
     }
   }
   return koff.data();
+}
+
+// sgemm_bt's loop on the Avx2Fma tier, alpha == 1: each output is two
+// double chains over k ascending, even p into one and odd p into the
+// other (a trailing even p joins the first), then C += float(sum of the
+// two). float × float is exact in double, so a fused multiply-add rounds
+// exactly as the loop's multiply and add do, and the bits are those of the
+// loop on any build, whichever operand is broadcast.
+//
+// Sixteen outputs at a time: lane l of four ymm accumulators per chain is
+// row l of `strip`, 16 rows of one operand packed transposed and widened
+// to double (k × 16, zero past the operand's last row), against the
+// broadcast row `y` of the other. Widening in the pack takes the
+// float → double converts out of the k loop.
+__attribute__((target("avx2,fma"))) void sgemm_bt_dot16_avx2(
+    std::int64_t k, const double* strip, const float* y, float* sum) {
+  __m256d even[4], odd[4];
+#pragma GCC unroll 4
+  for (int v = 0; v < 4; ++v) {
+    even[v] = _mm256_setzero_pd();
+    odd[v] = _mm256_setzero_pd();
+  }
+  const double* bp = strip;
+  std::int64_t p = 0;
+  for (; p + 2 <= k; p += 2, bp += 32) {
+    const __m256d ye = _mm256_set1_pd(static_cast<double>(y[p]));
+    const __m256d yo = _mm256_set1_pd(static_cast<double>(y[p + 1]));
+#pragma GCC unroll 4
+    for (int v = 0; v < 4; ++v) {
+      even[v] = _mm256_fmadd_pd(ye, _mm256_loadu_pd(bp + 4 * v), even[v]);
+      odd[v] = _mm256_fmadd_pd(yo, _mm256_loadu_pd(bp + 16 + 4 * v), odd[v]);
+    }
+  }
+  if (p < k) {
+    const __m256d ye = _mm256_set1_pd(static_cast<double>(y[p]));
+#pragma GCC unroll 4
+    for (int v = 0; v < 4; ++v) {
+      even[v] = _mm256_fmadd_pd(ye, _mm256_loadu_pd(bp + 4 * v), even[v]);
+    }
+  }
+#pragma GCC unroll 4
+  for (int v = 0; v < 4; ++v) {
+    _mm_storeu_ps(sum + 4 * v,
+                  _mm256_cvtpd_ps(_mm256_add_pd(even[v], odd[v])));
+  }
+}
+
+// The lanes run along C's columns (16 rows of B per strip, each strip
+// packed once into a grow-only per-thread buffer, every row of A
+// broadcast against it), or along C's rows when n < 16 and m > n, so a
+// Linear with one output (n = 1) does not waste 15 of every 16 lanes.
+void sgemm_bt_avx2(std::int64_t m, std::int64_t n, std::int64_t k,
+                   const float* a, const float* b, float* c) {
+  const bool by_rows = n < 16 && m > n;
+  const float* packed = by_rows ? a : b;
+  const float* broadcast = by_rows ? b : a;
+  const std::int64_t lanes = by_rows ? m : n;
+  const std::int64_t others = by_rows ? n : m;
+  const std::int64_t lane_step = by_rows ? n : 1;  // C step per lane
+  const std::int64_t other_step = by_rows ? 1 : n;
+  thread_local std::vector<double> strip;
+  strip.resize(static_cast<std::size_t>(16 * k));
+  for (std::int64_t l0 = 0; l0 < lanes; l0 += 16) {
+    const std::int64_t rows = std::min<std::int64_t>(16, lanes - l0);
+    for (std::int64_t l = 0; l < 16; ++l) {
+      const float* src = l < rows ? packed + (l0 + l) * k : nullptr;
+      for (std::int64_t p = 0; p < k; ++p) {
+        strip[static_cast<std::size_t>(p * 16 + l)] =
+            src != nullptr ? static_cast<double>(src[p]) : 0.0;
+      }
+    }
+    for (std::int64_t o = 0; o < others; ++o) {
+      float sum[16];
+      sgemm_bt_dot16_avx2(k, strip.data(), broadcast + o * k, sum);
+      float* co = c + o * other_step + l0 * lane_step;
+      for (std::int64_t l = 0; l < rows; ++l) co[l * lane_step] += sum[l];
+    }
+  }
 }
 
 #endif  // SNE_GEMM_X86
@@ -1475,17 +1555,45 @@ void sconv_serial(std::int64_t batch, const float* image,
   }
 
 #if SNE_GEMM_X86
-  // n % 8 == 0 leaves sgemm_serial no scalar-tail column (its column
-  // blocks are 256 wide), so every output it writes is an FMA chain the
-  // direct kernel reproduces; gather offsets are int32.
+  // sgemm_serial's column blocks are 256 wide, so in the im2col lowering
+  // the first n − n % 8 outputs of each row are FMA chains, which the
+  // direct kernel reproduces, and the last n % 8 are scalar-tail columns,
+  // whose bits are whatever the compiler made of gemm_block_avx2's scalar
+  // loops. Those columns are gathered into a k × (n % 8) slab and run
+  // through the same loops: sgemm_serial with the same weight, m and
+  // epilogue walks the same row groups and k blocks. Gather offsets are
+  // int32.
   static const bool has_avx512f = cpu_has_avx512f();
   if (has_avx512f && gemm_tier() == GemmTier::Avx2Fma && stride == 1 &&
-      pad == 0 && n % 8 == 0 && chw <= INT32_MAX) {
+      pad == 0 && chw <= INT32_MAX) {
     const std::int64_t* koff = conv_tap_offsets(channels, height, width,
                                                 kernel);
+    const std::int64_t direct = n / 8 * 8;
+    const std::int64_t tail = n - direct;
+    // Grow-only: the tail's columns, then its m × tail outputs.
+    thread_local std::vector<float> slab;
+    slab.resize(static_cast<std::size_t>((k + out_channels) * tail));
+    float* tail_cols = slab.data();
+    float* tail_out = tail_cols + k * tail;
     for (std::int64_t i = 0; i < batch; ++i) {
-      conv_image_avx512(out_channels, k, koff, image + i * chw, width, out_w,
-                        n, weight, epilogue, out + i * out_stride);
+      const float* img = image + i * chw;
+      float* dst = out + i * out_stride;
+      conv_image_avx512(out_channels, k, koff, img, width, out_w, direct, n,
+                        weight, epilogue, dst);
+      if (tail == 0) continue;
+      for (std::int64_t l = 0; l < tail; ++l) {
+        const std::int64_t q = direct + l;
+        const float* at = img + q / out_w * width + q % out_w;
+        for (std::int64_t p = 0; p < k; ++p) {
+          tail_cols[p * tail + l] = at[koff[p]];
+        }
+      }
+      sgemm_serial(out_channels, tail, k, 1.0f, weight, tail_cols, 0.0f,
+                   tail_out, epilogue);
+      for (std::int64_t r = 0; r < out_channels; ++r) {
+        std::copy(tail_out + r * tail, tail_out + (r + 1) * tail,
+                  dst + r * n + direct);
+      }
     }
     return;
   }
@@ -1606,6 +1714,16 @@ void sgemm_bt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
   // dot-product kernel is the cache-friendly choice.
   scale_c(m, n, beta, c);
   if (alpha == 0.0f || m == 0 || n == 0 || k == 0) return;
+
+#if SNE_GEMM_X86
+  // The same two double chains per output, sixteen outputs at a time. At
+  // alpha == 1 the loop below adds 1 · float(sum) == float(sum), so the
+  // bits agree.
+  if (alpha == 1.0f && gemm_tier() == GemmTier::Avx2Fma) {
+    sgemm_bt_avx2(m, n, k, a, b, c);
+    return;
+  }
+#endif
 
   for (std::int64_t i = 0; i < m; ++i) {
     const float* ai = a + i * k;
