@@ -53,8 +53,10 @@ void Linear::infer_into(ConstTensorView x, Tensor& out) const {
   }
   const std::int64_t n = x.extent(0);
   out.resize({n, out_});
-  // sgemm_bt runs on the calling thread and allocates nothing, so this
-  // stays within the inference path's zero-allocation contract.
+  // sgemm_bt runs on the calling thread and allocates nothing once its
+  // per-thread operand strip has grown (the session's warmup run grows
+  // it), so this stays within the inference path's zero-allocation
+  // contract.
   sgemm_bt(n, out_, in_, 1.0f, x.data(), weight_.value.data(), 0.0f,
            out.data());
   for (std::int64_t i = 0; i < n; ++i) {

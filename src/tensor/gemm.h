@@ -15,11 +15,12 @@
 // hosts (exact, so again the same bits). Within either tier results are
 // bitwise identical across thread counts and repeated runs; across tiers
 // the f32 kernels agree only to float tolerance (the vector kernel
-// re-associates the k reduction), while igemm is bitwise identical even
-// ACROSS tiers — its accumulation is exact integer arithmetic, and the
-// scalar and AVX2 requantization epilogues run the same per-element IEEE
-// operation sequence (convert, fused multiply-add, PReLU select), so they
-// produce the same bits.
+// re-associates the k reduction), except sgemm_bt, whose double dot
+// products round exactly once per step and so agree bitwise. igemm is
+// bitwise identical even ACROSS tiers — its accumulation is exact integer
+// arithmetic, and the scalar and AVX2 requantization epilogues run the
+// same per-element IEEE operation sequence (convert, fused multiply-add,
+// PReLU select), so they produce the same bits.
 // Force a tier with SNE_GEMM_KERNEL=scalar|avx2|auto or set_gemm_tier();
 // an unrecognized value warns once on stderr and resolves like "auto".
 #pragma once
@@ -101,16 +102,18 @@ void sgemm_serial(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
 /// the tier, the CPU and the shape, never from a setting:
 /// - 1×1, stride 1, no pad: the image is already the column matrix, so
 ///   sgemm_serial reads it directly.
-/// - Avx2Fma tier on an AVX-512F host, stride 1, no pad and
-///   out_h·out_w % 8 == 0: a direct kernel reads the image in place, 32
-///   output pixels at a time (a masked load per 16 pixels; two, merged,
-///   where an output row ends inside them; a gather when out_w < 16). At
-///   such shapes every output of the im2col lowering is one fused
-///   multiply-add chain over k ascending from +0, followed by the bias add
-///   and the PReLU select; the direct kernel runs exactly that sequence,
-///   so no bit moves. Other shapes put outputs in sgemm's scalar tail
-///   columns, whose bits are whatever the compiler made of them, so they
-///   stay on im2col.
+/// - Avx2Fma tier on an AVX-512F host, stride 1, no pad: a direct kernel
+///   reads the image in place, 32 output pixels at a time (a masked load
+///   per 16 pixels; two, merged, where an output row ends inside them; a
+///   gather when out_w < 16). In the im2col lowering the first
+///   n − n % 8 outputs of each channel (n = out_h·out_w) are each one
+///   fused multiply-add chain over k ascending from +0, followed by the
+///   bias add and the PReLU select; the direct kernel runs exactly that
+///   sequence, so no bit moves. The last n % 8 are sgemm's scalar tail
+///   columns, whose bits are whatever the compiler made of them, so their
+///   im2col columns are gathered into a k × (n % 8) slab and run through
+///   sgemm_serial with the same weight, channel count and epilogue: the
+///   very tail loops, row groups and k blocks that computed them before.
 /// - Otherwise im2col into a per-thread column buffer, then sgemm_serial.
 /// The output extents must be positive (see conv_out_extent).
 void sconv_serial(std::int64_t batch, const float* image,
@@ -136,7 +139,16 @@ void sgemm_at(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
               const GemmEpilogue&) = delete;
 
 /// C[m×n] = alpha * A[m×k] · Bᵀ (B is n×k) + beta * C. Same forward-only
-/// epilogue contract as sgemm_at.
+/// epilogue contract as sgemm_at. Each output is a dot product in double,
+/// even k into one chain and odd k into another, each ascending, then
+/// C += alpha · float(their sum). float × float is exact in double, so
+/// every step rounds once whether or not it is fused, and the result is
+/// bitwise the same on every tier, build and thread count. At the Avx2Fma
+/// tier with alpha == 1 the lanes of a vector carry 16 such dot products
+/// (along C's rows when n < 16 and m > n, else along its columns) over a
+/// per-thread packed copy of 16 rows of one operand, widened to double;
+/// otherwise one scalar loop runs. Never dispatches to the pool;
+/// allocates nothing once its per-thread strip has grown to 16·k.
 void sgemm_bt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
               const float* a, const float* b, float beta, float* c);
 void sgemm_bt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,

@@ -438,8 +438,15 @@ void sgemm_bt_reference(std::int64_t m, std::int64_t n, std::int64_t k,
 // one Inf·0 and Inf − Inf produce: where two NaNs meet, IEEE leaves which
 // payload survives to the operand order the compiler picked, so a second
 // NaN pattern would pin that choice instead of the kernel.
+//
+// Products of values in [-1, 1) mostly sum exactly in double, which would
+// hide the order of the sums. So with `cancel`, every row starts with
+// 2^20, then ∓2^20 (minus in A, plus in B): each output's even chain
+// starts at +2^40 and its odd chain at −2^40, every later product rounds
+// to 2^-12 in its chain, and the float result, after the two cancel, shows
+// which chain each product went into and in what order.
 std::vector<float> special_operand(PinValues& v, std::int64_t rows,
-                                   std::int64_t k, bool poison) {
+                                   std::int64_t k, bool poison, float cancel) {
   const float nan = -std::numeric_limits<float>::quiet_NaN();
   const float inf = std::numeric_limits<float>::infinity();
   constexpr float kSpecial[] = {0.0f,     -0.0f,    1e-40f, -3e-39f,
@@ -448,6 +455,12 @@ std::vector<float> special_operand(PinValues& v, std::int64_t rows,
   for (float& e : x) {
     const float r = v.next();
     if (r < -0.8f) e = kSpecial[static_cast<int>((r + 1.0f) * 35.0f) % 7];
+  }
+  if (cancel != 0.0f && k >= 2) {
+    for (std::int64_t r = 0; r < rows; ++r) {
+      x[static_cast<std::size_t>(r * k)] = 0x1p20f;
+      x[static_cast<std::size_t>(r * k + 1)] = cancel * 0x1p20f;
+    }
   }
   if (poison) {
     x[0] = nan;
@@ -469,9 +482,9 @@ TEST(GemmDispatch, SgemmBtMatchesScalarLoopBitwise) {
       for (const std::int64_t n : kExtent) {
         for (const std::int64_t k : kDepth) {
           PinValues v{static_cast<std::uint64_t>((m * 512 + n) * 512 + k)};
-          const std::vector<float> a = special_operand(v, m, k, true);
-          const std::vector<float> b = special_operand(v, n, k, n > 8);
-          const std::vector<float> c0 = special_operand(v, m, n, false);
+          const std::vector<float> a = special_operand(v, m, k, true, -1.0f);
+          const std::vector<float> b = special_operand(v, n, k, n > 8, 1.0f);
+          const std::vector<float> c0 = special_operand(v, m, n, false, 0.0f);
           for (const float alpha : {1.0f, -0.5f}) {
             for (const float beta : {0.0f, 1.0f}) {
               std::vector<float> want = c0;
