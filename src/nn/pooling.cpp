@@ -215,9 +215,11 @@ void MaxPool2d::infer_into(ConstTensorView x, Tensor& out) const {
 
   out.resize({n, c, oh, ow});
 #if SNE_POOL_X86
-  // The serving-shaped window (2x2, stride 2) takes the vector plane
-  // pool — bitwise identical to the scalar walk below (see pool_fold_avx2)
-  // and pinned against it by the dispatch test.
+  // The serving-shaped window (2x2, stride 2) takes a vector pool: plane
+  // by plane when a plane has at least 8 output columns, else across
+  // planes (whose int32 gather offsets span up to 8 planes). Both are
+  // bitwise identical to the scalar walk below (see pool_fold_avx2) and
+  // pinned against it by the dispatch test.
   if (kernel_ == 2 && stride_ == 2 && gemm_tier() == GemmTier::Avx2Fma) {
     if (ow >= 8) {
       for (std::int64_t p = 0; p < n * c; ++p) {

@@ -669,10 +669,9 @@ void sgemm_bt_avx2(std::int64_t m, std::int64_t n, std::int64_t k,
   for (std::int64_t l0 = 0; l0 < lanes; l0 += 16) {
     const std::int64_t rows = std::min<std::int64_t>(16, lanes - l0);
     for (std::int64_t l = 0; l < 16; ++l) {
-      const float* src = l < rows ? packed + (l0 + l) * k : nullptr;
       for (std::int64_t p = 0; p < k; ++p) {
         strip[static_cast<std::size_t>(p * 16 + l)] =
-            src != nullptr ? static_cast<double>(src[p]) : 0.0;
+            l < rows ? static_cast<double>(packed[(l0 + l) * k + p]) : 0.0;
       }
     }
     for (std::int64_t o = 0; o < others; ++o) {
