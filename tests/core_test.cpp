@@ -2,7 +2,10 @@
 // light-curve features, classifier, joint model, and the pipeline glue.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 
 #include "astro/photometry.h"
 #include "core/band_cnn.h"
@@ -50,6 +53,93 @@ TEST(PixelTransform, RejectsWrongChannels) {
   DiffSignedLogCrop t(2);
   EXPECT_THROW(t.forward(Tensor({1, 3, 4, 4})), std::invalid_argument);
   EXPECT_THROW(t.forward(Tensor({1, 2, 1, 1})), std::invalid_argument);
+}
+
+// A [37, 2, 44, 44] pair batch built from integer bits only, so no build
+// flag can change it. Images 0–3 hold the crafted diffs (ref = +0, obs =
+// the diff) cycled so each lands in every column; the rest pair random
+// floats of one magnitude band per image, and every ninth image pairs raw
+// 32-bit patterns (NaNs and infinities included).
+Tensor crop_pin_input() {
+  const std::uint32_t crafted[] = {
+      0x00000000, 0x80000000,                          // ±0
+      0x00000001, 0x80000001, 0x00400000, 0x80400000,  // ± subnormals
+      0x007fffff, 0x807fffff, 0x00800000, 0x80800000,  // ± FLT_MIN
+      0x3f800000, 0xbf800000, 0x41100000, 0xc1100000,  // ±1, ±9
+      0x42c60000, 0xc2c60000, 0x4479c000, 0xc479c000,  // ±99, ±999
+      0x4b800000, 0xcb800000, 0x4b800001, 0xcb800001,  // ±2^24, next up
+      0x5d5e0b6b, 0xdd5e0b6b, 0x7149f2ca, 0xf149f2ca,  // ±1e18, ±1e30
+      0x7f7fffff, 0xff7fffff, 0x7f800000, 0xff800000,  // ±FLT_MAX, ±Inf
+      0x7fc00000, 0xffc00000, 0x7fc12345, 0xffe00001,  // quiet NaNs
+      0x7f800001, 0xff812345, 0x7fbfffff,              // signalling NaNs
+  };
+  constexpr std::size_t kCrafted = std::size(crafted);
+  constexpr std::int64_t kN = 37;
+  constexpr std::int64_t kS = 44;
+  Tensor x({kN, 2, kS, kS});
+  std::uint64_t state = 0x5EED5EEDULL;
+  const auto next = [&state] {
+    state += 0x9E3779B97F4A7C15ULL;
+    std::uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+  };
+  for (std::int64_t i = 0; i < kN; ++i) {
+    float* ref = x.data() + (i * 2 + 0) * kS * kS;
+    float* obs = x.data() + (i * 2 + 1) * kS * kS;
+    for (std::int64_t p = 0; p < kS * kS; ++p) {
+      std::uint32_t r = 0;
+      std::uint32_t o = 0;
+      if (i < 4) {
+        o = crafted[static_cast<std::size_t>(p + i * 5) % kCrafted];
+      } else if (i % 9 == 8) {
+        const std::uint64_t z = next();
+        r = static_cast<std::uint32_t>(z);
+        o = static_cast<std::uint32_t>(z >> 32);
+      } else {
+        // Exponents 2^(e-4) … 2^(e+3) with e = −12 … 24 by image, random
+        // sign and mantissa: diffs from far below 1 to far above 2^24.
+        const auto band = static_cast<std::uint32_t>(127 - 12 + (i * 5) % 37);
+        const std::uint64_t z = next();
+        r = (static_cast<std::uint32_t>(z) & 0x807fffffU) |
+            ((band - 4 + static_cast<std::uint32_t>(z >> 23) % 8) << 23);
+        o = (static_cast<std::uint32_t>(z >> 32) & 0x807fffffU) |
+            ((band - 4 + static_cast<std::uint32_t>(z >> 55) % 8) << 23);
+      }
+      ref[p] = std::bit_cast<float>(r);
+      obs[p] = std::bit_cast<float>(o);
+    }
+  }
+  return x;
+}
+
+std::uint64_t fnv1a_mix(std::uint64_t h, const Tensor& t) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(t.data());
+  for (std::size_t i = 0; i < static_cast<std::size_t>(t.size()) * 4; ++i) {
+    h = (h ^ bytes[i]) * 0x100000001B3ULL;
+  }
+  return h;
+}
+
+// The crop's output bits: crop 44 (rows end in a 12-lane tail) and crop 40
+// (rows start at x0 = 2). infer_into and forward must give the same bits,
+// and those bits hold in every build (the crop multiplies nothing, so no
+// -O or -march setting has anything to contract).
+TEST(PixelTransform, CropMatchesGoldenDigest) {
+  constexpr std::uint64_t kGolden = 0x3a176c91191193f3ULL;
+  const Tensor x = crop_pin_input();
+  std::uint64_t served = 0xCBF29CE484222325ULL;
+  std::uint64_t trained = served;
+  for (const std::int64_t crop : {44, 40}) {
+    DiffSignedLogCrop t(crop);
+    Tensor out;
+    t.infer_into(x, out);
+    served = fnv1a_mix(served, out);
+    trained = fnv1a_mix(trained, t.forward(x));
+  }
+  EXPECT_EQ(served, kGolden) << std::hex << "0x" << served;
+  EXPECT_EQ(trained, kGolden) << std::hex << "0x" << trained;
 }
 
 TEST(BandCnn, TrunkExtentFormula) {
