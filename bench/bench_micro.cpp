@@ -1,6 +1,7 @@
 // bench_micro — google-benchmark microbenchmarks of the substrates: GEMM,
-// convolution forward/backward, Sérsic rendering, PSF operations,
-// difference imaging, dataset sample materialization, and ROC computation.
+// convolution forward/backward, the signed-log input crop, Sérsic
+// rendering, PSF operations, difference imaging, dataset sample
+// materialization, and ROC computation.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include "core/band_cnn.h"
 #include "core/inference.h"
 #include "core/pipeline.h"
+#include "core/pixel_transform.h"
 #include "data/snapshot.h"
 #include "eval/roc.h"
 #include "infer/session.h"
@@ -358,6 +360,35 @@ void BM_Conv1x1Infer(benchmark::State& state) {
   set_gemm_tier(prev);
 }
 BENCHMARK(BM_Conv1x1Infer)->Arg(0)->Arg(1);
+
+// The joint model's input stage as the plan serves it: difference, centre
+// crop and signed log of a [64, 2, 44, 44] pair batch into [64, 1, 44, 44]
+// (rows of 44 end in a 12-lane masked vector). Arg: the tier; at 1 on an
+// AVX-512F host signed_log_span runs its 16-lane kernel, otherwise the
+// scalar reference. Both give the same bits. Items are output pixels.
+void BM_SignedLogCrop(benchmark::State& state) {
+  const auto tier = static_cast<GemmTier>(state.range(0));
+  if (!gemm_tier_supported(tier)) {
+    state.SkipWithError("kernel tier not supported on this CPU");
+    return;
+  }
+  const GemmTier prev = gemm_tier();
+  set_gemm_tier(tier);
+  Rng rng(3);
+  Tensor x = Tensor::randn({64, 2, 44, 44}, rng);
+  x *= 40.0f;  // difference pixels of tens of counts, both signs
+  const core::DiffSignedLogCrop crop(44);
+  Tensor y;
+  for (auto _ : state) {
+    crop.infer_into(x, y);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 64 * 44 * 44);
+  state.SetLabel(gemm_tier_name(tier));
+  set_gemm_tier(prev);
+}
+BENCHMARK(BM_SignedLogCrop)->Arg(0)->Arg(1);
 
 void BM_ConvForward(benchmark::State& state) {
   const auto size = state.range(0);

@@ -72,95 +72,4 @@ void BandCnn::set_training(bool training) {
   net_.set_training(training);
 }
 
-RawDiffCrop::RawDiffCrop(std::int64_t crop_size) : crop_(crop_size) {
-  if (crop_size <= 0) {
-    throw std::invalid_argument("RawDiffCrop: crop_size <= 0");
-  }
-}
-
-Tensor RawDiffCrop::forward(const Tensor& x) {
-  if (x.rank() != 4 || x.extent(1) != 2 || x.extent(2) < crop_ ||
-      x.extent(3) < crop_) {
-    throw std::invalid_argument("RawDiffCrop: bad input " + x.shape_string());
-  }
-  const std::int64_t n = x.extent(0);
-  const std::int64_t s = x.extent(2);
-  const std::int64_t w = x.extent(3);
-  const std::int64_t y0 = (s - crop_) / 2;
-  const std::int64_t x0 = (w - crop_) / 2;
-  cached_in_shape_ = x.shape();
-
-  Tensor out({n, 1, crop_, crop_});
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float* ref = x.data() + (i * 2 + 0) * s * w;
-    const float* obs = x.data() + (i * 2 + 1) * s * w;
-    float* dst = out.data() + i * crop_ * crop_;
-    for (std::int64_t yy = 0; yy < crop_; ++yy) {
-      const std::int64_t row = (y0 + yy) * w + x0;
-      for (std::int64_t xx = 0; xx < crop_; ++xx) {
-        dst[yy * crop_ + xx] = obs[row + xx] - ref[row + xx];
-      }
-    }
-  }
-  return out;
-}
-
-void RawDiffCrop::infer_into(ConstTensorView x, Tensor& out) const {
-  if (x.rank() != 4 || x.extent(1) != 2 || x.extent(2) < crop_ ||
-      x.extent(3) < crop_) {
-    throw std::invalid_argument("RawDiffCrop: bad input " + x.shape_string());
-  }
-  const std::int64_t n = x.extent(0);
-  const std::int64_t s = x.extent(2);
-  const std::int64_t w = x.extent(3);
-  const std::int64_t y0 = (s - crop_) / 2;
-  const std::int64_t x0 = (w - crop_) / 2;
-
-  out.resize({n, 1, crop_, crop_});
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float* ref = x.data() + (i * 2 + 0) * s * w;
-    const float* obs = x.data() + (i * 2 + 1) * s * w;
-    float* dst = out.data() + i * crop_ * crop_;
-    for (std::int64_t yy = 0; yy < crop_; ++yy) {
-      const std::int64_t row = (y0 + yy) * w + x0;
-      for (std::int64_t xx = 0; xx < crop_; ++xx) {
-        dst[yy * crop_ + xx] = obs[row + xx] - ref[row + xx];
-      }
-    }
-  }
-}
-
-Shape RawDiffCrop::infer_shape(const Shape& in) const {
-  if (in.size() != 4 || in[1] != 2 || in[2] < crop_ || in[3] < crop_) {
-    throw std::invalid_argument("RawDiffCrop::infer_shape: bad shape");
-  }
-  return {in[0], 1, crop_, crop_};
-}
-
-Tensor RawDiffCrop::backward(const Tensor& grad_output) {
-  if (cached_in_shape_.empty()) {
-    throw std::logic_error("RawDiffCrop::backward before forward");
-  }
-  const std::int64_t n = cached_in_shape_[0];
-  const std::int64_t s = cached_in_shape_[2];
-  const std::int64_t w = cached_in_shape_[3];
-  const std::int64_t y0 = (s - crop_) / 2;
-  const std::int64_t x0 = (w - crop_) / 2;
-
-  Tensor grad_input(cached_in_shape_);
-  for (std::int64_t i = 0; i < n; ++i) {
-    float* g_ref = grad_input.data() + (i * 2 + 0) * s * w;
-    float* g_obs = grad_input.data() + (i * 2 + 1) * s * w;
-    const float* gy = grad_output.data() + i * crop_ * crop_;
-    for (std::int64_t yy = 0; yy < crop_; ++yy) {
-      const std::int64_t row = (y0 + yy) * w + x0;
-      for (std::int64_t xx = 0; xx < crop_; ++xx) {
-        g_obs[row + xx] = gy[yy * crop_ + xx];
-        g_ref[row + xx] = -gy[yy * crop_ + xx];
-      }
-    }
-  }
-  return grad_input;
-}
-
 }  // namespace sne::core

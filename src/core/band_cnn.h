@@ -69,19 +69,4 @@ class BandCnn final : public nn::Module {
   nn::Sequential net_;
 };
 
-/// A raw-pixel variant used by ablations: identical trunk but skipping
-/// the signed-log compression (still differencing + cropping).
-class RawDiffCrop final : public nn::Module {
- public:
-  explicit RawDiffCrop(std::int64_t crop_size);
-  Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_output) override;
-  void infer_into(ConstTensorView x, Tensor& out) const override;
-  Shape infer_shape(const Shape& in) const override;
-
- private:
-  std::int64_t crop_;
-  Shape cached_in_shape_;
-};
-
 }  // namespace sne::core

@@ -2,89 +2,138 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
+
+#include "tensor/signed_log.h"
 
 namespace sne::core {
 
 namespace {
+
 // 1 / ln(10): d/dx [sgn(x)·log10(|x|+1)] = 1 / ((|x|+1)·ln 10).
 constexpr float kInvLn10 = 0.43429448190325176f;
+
+std::int64_t checked_crop(std::int64_t crop_size, const char* who) {
+  if (crop_size <= 0) {
+    throw std::invalid_argument(std::string(who) + ": crop_size <= 0");
+  }
+  return crop_size;
+}
+
+// The centred crop × crop window of an [N, 2, H, W] pair batch (channel 0
+// the matched reference, channel 1 the observation). Every crop loop of
+// both input stages walks it.
+class CropWindow {
+ public:
+  // Allocation-free, so the serving path stays allocation-free.
+  CropWindow(ConstTensorView::Extents shape, std::int64_t crop,
+             const char* who)
+      : crop_(crop) {
+    if (shape.size() != 4 || shape[1] != 2 || shape[2] < crop ||
+        shape[3] < crop) {
+      std::string got = "[";
+      for (std::size_t d = 0; d < shape.size(); ++d) {
+        got += (d ? ", " : "") + std::to_string(shape[d]);
+      }
+      throw std::invalid_argument(std::string(who) +
+                                  ": expected [N, 2, S>=crop, S>=crop], got " +
+                                  got + "]");
+    }
+    n_ = shape[0];
+    h_ = shape[2];
+    w_ = shape[3];
+    plane_ = h_ * w_;
+    origin_ = (shape[2] - crop) / 2 * w_ + (w_ - crop) / 2;
+  }
+
+  Shape out_shape() const { return {n_, 1, crop_, crop_}; }
+  void resize_out(Tensor& out) const { out.resize({n_, 1, crop_, crop_}); }
+
+  // out = obs − ref over the window, calling done(image) on each output
+  // image (crop·crop floats) as soon as it is written, while it is still
+  // in L1.
+  template <typename Done>
+  void diff(const float* x, float* out, Done&& done) const {
+    walk(
+        [&](std::int64_t ref, std::int64_t obs, std::int64_t dst) {
+          for (std::int64_t j = 0; j < crop_; ++j) {
+            out[dst + j] = x[obs + j] - x[ref + j];
+          }
+        },
+        [&](std::int64_t image) { done(out + image); });
+  }
+
+  // The gradient w.r.t. the pair batch: grad(k) for crop element k goes
+  // to its observation pixel and −grad(k) to its reference pixel; zero
+  // elsewhere.
+  template <typename Grad>
+  Tensor scatter(Grad&& grad) const {
+    Tensor g(Shape{n_, 2, h_, w_});
+    float* gd = g.data();
+    walk(
+        [&](std::int64_t ref, std::int64_t obs, std::int64_t src) {
+          for (std::int64_t j = 0; j < crop_; ++j) {
+            const float v = grad(src + j);
+            gd[obs + j] = v;
+            gd[ref + j] = -v;
+          }
+        },
+        [](std::int64_t) {});
+    return g;
+  }
+
+ private:
+  // Calls row(ref, obs, crop) for each of the N·crop window rows in order,
+  // with the offsets of the row's first reference and observation pixels
+  // in the pair batch and of its first element in the [N, 1, crop, crop]
+  // crop; after each image's rows, image_done(offset of its first element).
+  template <typename Row, typename ImageDone>
+  void walk(Row&& row, ImageDone&& image_done) const {
+    for (std::int64_t i = 0; i < n_; ++i) {
+      for (std::int64_t y = 0; y < crop_; ++y) {
+        const std::int64_t ref = 2 * i * plane_ + origin_ + y * w_;
+        row(ref, ref + plane_, (i * crop_ + y) * crop_);
+      }
+      image_done(i * crop_ * crop_);
+    }
+  }
+
+  std::int64_t crop_;
+  std::int64_t n_ = 0;
+  std::int64_t h_ = 0;
+  std::int64_t w_ = 0;
+  std::int64_t plane_ = 0;
+  std::int64_t origin_ = 0;
+};
+
+void no_image_step(float*) {}
+
 }  // namespace
 
 DiffSignedLogCrop::DiffSignedLogCrop(std::int64_t crop_size)
-    : crop_(crop_size) {
-  if (crop_size <= 0) {
-    throw std::invalid_argument("DiffSignedLogCrop: crop_size <= 0");
-  }
-}
+    : crop_(checked_crop(crop_size, "DiffSignedLogCrop")) {}
 
 Tensor DiffSignedLogCrop::forward(const Tensor& x) {
-  if (x.rank() != 4 || x.extent(1) != 2 || x.extent(2) < crop_ ||
-      x.extent(3) < crop_) {
-    throw std::invalid_argument(
-        "DiffSignedLogCrop: expected [N, 2, S>=crop, S>=crop], got " +
-        x.shape_string());
-  }
-  const std::int64_t n = x.extent(0);
-  const std::int64_t s = x.extent(2);
-  const std::int64_t y0 = (s - crop_) / 2;
-  const std::int64_t x0 = (x.extent(3) - crop_) / 2;
-
+  const CropWindow window(x.shape(), crop_, "DiffSignedLogCrop");
   cached_in_shape_ = x.shape();
-  cached_diff_crop_ = Tensor({n, 1, crop_, crop_});
-  Tensor out({n, 1, crop_, crop_});
-
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float* ref = x.data() + (i * 2 + 0) * s * x.extent(3);
-    const float* obs = x.data() + (i * 2 + 1) * s * x.extent(3);
-    float* diff = cached_diff_crop_.data() + i * crop_ * crop_;
-    float* dst = out.data() + i * crop_ * crop_;
-    for (std::int64_t yy = 0; yy < crop_; ++yy) {
-      const std::int64_t row = (y0 + yy) * x.extent(3) + x0;
-      for (std::int64_t xx = 0; xx < crop_; ++xx) {
-        const float d = obs[row + xx] - ref[row + xx];
-        diff[yy * crop_ + xx] = d;
-        const float mag = std::log10(std::abs(d) + 1.0f);
-        dst[yy * crop_ + xx] = d < 0.0f ? -mag : mag;
-      }
-    }
-  }
+  cached_diff_crop_ = Tensor(window.out_shape());
+  window.diff(x.data(), cached_diff_crop_.data(), no_image_step);
+  Tensor out(cached_diff_crop_.shape());
+  signed_log_span(cached_diff_crop_.data(), out.data(), out.size());
   return out;
 }
 
 void DiffSignedLogCrop::infer_into(ConstTensorView x, Tensor& out) const {
-  if (x.rank() != 4 || x.extent(1) != 2 || x.extent(2) < crop_ ||
-      x.extent(3) < crop_) {
-    throw std::invalid_argument(
-        "DiffSignedLogCrop: expected [N, 2, S>=crop, S>=crop], got " +
-        x.shape_string());
-  }
-  const std::int64_t n = x.extent(0);
-  const std::int64_t s = x.extent(2);
-  const std::int64_t w = x.extent(3);
-  const std::int64_t y0 = (s - crop_) / 2;
-  const std::int64_t x0 = (w - crop_) / 2;
-
-  out.resize({n, 1, crop_, crop_});
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float* ref = x.data() + (i * 2 + 0) * s * w;
-    const float* obs = x.data() + (i * 2 + 1) * s * w;
-    float* dst = out.data() + i * crop_ * crop_;
-    for (std::int64_t yy = 0; yy < crop_; ++yy) {
-      const std::int64_t row = (y0 + yy) * w + x0;
-      for (std::int64_t xx = 0; xx < crop_; ++xx) {
-        const float d = obs[row + xx] - ref[row + xx];
-        const float mag = std::log10(std::abs(d) + 1.0f);
-        dst[yy * crop_ + xx] = d < 0.0f ? -mag : mag;
-      }
-    }
-  }
+  const CropWindow window(x.shape(), crop_, "DiffSignedLogCrop");
+  window.resize_out(out);
+  window.diff(x.data(), out.data(),
+              [this](float* image) {
+                signed_log_span(image, image, crop_ * crop_);
+              });
 }
 
 Shape DiffSignedLogCrop::infer_shape(const Shape& in) const {
-  if (in.size() != 4 || in[1] != 2 || in[2] < crop_ || in[3] < crop_) {
-    throw std::invalid_argument("DiffSignedLogCrop::infer_shape: bad shape");
-  }
-  return {in[0], 1, crop_, crop_};
+  return CropWindow(in, crop_, "DiffSignedLogCrop::infer_shape").out_shape();
 }
 
 Tensor DiffSignedLogCrop::backward(const Tensor& grad_output) {
@@ -93,30 +142,42 @@ Tensor DiffSignedLogCrop::backward(const Tensor& grad_output) {
   }
   check_same_shape(grad_output, cached_diff_crop_,
                    "DiffSignedLogCrop::backward");
-  const std::int64_t n = cached_in_shape_[0];
-  const std::int64_t s = cached_in_shape_[2];
-  const std::int64_t w = cached_in_shape_[3];
-  const std::int64_t y0 = (s - crop_) / 2;
-  const std::int64_t x0 = (w - crop_) / 2;
+  const float* gy = grad_output.data();
+  const float* d = cached_diff_crop_.data();
+  return CropWindow(cached_in_shape_, crop_, "DiffSignedLogCrop")
+      .scatter([&](std::int64_t k) {
+        return gy[k] * kInvLn10 / (std::abs(d[k]) + 1.0f);
+      });
+}
 
-  Tensor grad_input(cached_in_shape_);
-  for (std::int64_t i = 0; i < n; ++i) {
-    float* g_ref = grad_input.data() + (i * 2 + 0) * s * w;
-    float* g_obs = grad_input.data() + (i * 2 + 1) * s * w;
-    const float* diff = cached_diff_crop_.data() + i * crop_ * crop_;
-    const float* gy = grad_output.data() + i * crop_ * crop_;
-    for (std::int64_t yy = 0; yy < crop_; ++yy) {
-      const std::int64_t row = (y0 + yy) * w + x0;
-      for (std::int64_t xx = 0; xx < crop_; ++xx) {
-        const float d = diff[yy * crop_ + xx];
-        const float g =
-            gy[yy * crop_ + xx] * kInvLn10 / (std::abs(d) + 1.0f);
-        g_obs[row + xx] = g;
-        g_ref[row + xx] = -g;
-      }
-    }
+RawDiffCrop::RawDiffCrop(std::int64_t crop_size)
+    : crop_(checked_crop(crop_size, "RawDiffCrop")) {}
+
+Tensor RawDiffCrop::forward(const Tensor& x) {
+  const CropWindow window(x.shape(), crop_, "RawDiffCrop");
+  cached_in_shape_ = x.shape();
+  Tensor out(window.out_shape());
+  window.diff(x.data(), out.data(), no_image_step);
+  return out;
+}
+
+void RawDiffCrop::infer_into(ConstTensorView x, Tensor& out) const {
+  const CropWindow window(x.shape(), crop_, "RawDiffCrop");
+  window.resize_out(out);
+  window.diff(x.data(), out.data(), no_image_step);
+}
+
+Shape RawDiffCrop::infer_shape(const Shape& in) const {
+  return CropWindow(in, crop_, "RawDiffCrop::infer_shape").out_shape();
+}
+
+Tensor RawDiffCrop::backward(const Tensor& grad_output) {
+  if (cached_in_shape_.empty()) {
+    throw std::logic_error("RawDiffCrop::backward before forward");
   }
-  return grad_input;
+  const float* gy = grad_output.data();
+  return CropWindow(cached_in_shape_, crop_, "RawDiffCrop")
+      .scatter([gy](std::int64_t k) { return gy[k]; });
 }
 
 }  // namespace sne::core

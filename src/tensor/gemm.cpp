@@ -694,6 +694,8 @@ bool cpu_has_avx2_fma() noexcept {
 #endif
 }
 
+}  // namespace
+
 // libgcc reports avx512f only when CPUID has it AND the OS enables the
 // zmm/opmask state in XCR0.
 bool cpu_has_avx512f() noexcept {
@@ -704,6 +706,8 @@ bool cpu_has_avx512f() noexcept {
   return false;
 #endif
 }
+
+namespace {
 
 // The VNNI int8 kernel's instructions: vpdpbusd on zmm (avx512vnni), byte
 // masks and shuffles (avx512bw) and their 128/256-bit forms (avx512vl).

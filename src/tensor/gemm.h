@@ -54,6 +54,10 @@ bool gemm_tier_supported(GemmTier tier) noexcept;
 /// "scalar" / "avx2" — stable names, matching the SNE_GEMM_KERNEL values.
 const char* gemm_tier_name(GemmTier tier) noexcept;
 
+/// True when the CPU and OS support AVX-512F. The Avx2Fma tier's 512-bit
+/// kernels (here and in tensor/signed_log.h) run only where this holds.
+bool cpu_has_avx512f() noexcept;
+
 /// Optional per-row epilogue fused into the GEMM drivers: applied to each
 /// finished row panel of C while it is still cache-hot, after the full k
 /// accumulation (and after beta scaling). Element order and operations are

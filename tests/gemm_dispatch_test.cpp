@@ -7,12 +7,13 @@
 // passes it replaces. Also pins the fp32 and int8 conv serving entries
 // (bitwise equal to the im2col lowering, and never reading past the
 // image) and the 1×1 conv fast path: bitwise equal to the im2col lowering
-// and free of column-buffer allocations. sgemm_bt and the serving max-pool
-// must match their scalar loops bit for bit on every tier.
+// and free of column-buffer allocations. sgemm_bt, the serving max-pool and
+// the signed log must match their scalar loops bit for bit on every tier.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -30,6 +31,7 @@
 #include "tensor/gemm.h"
 #include "tensor/qtensor.h"
 #include "tensor/rng.h"
+#include "tensor/signed_log.h"
 #include "tensor/tensor.h"
 #include "tensor/thread_pool.h"
 
@@ -1319,6 +1321,102 @@ TEST(MaxPoolDispatch, VectorPoolNeverReadsPastTheInput) {
     Tensor got;
     pool.infer_into(ConstTensorView(in, shape), got);
     EXPECT_TRUE(same_bits(got, ref)) << "w=" << shape[3];
+  }
+}
+
+// ---- signed log ----
+//
+// signed_log_span runs a 16-lane AVX-512F kernel at the Avx2Fma tier on
+// AVX-512F hosts and the scalar reference otherwise; both must give the
+// same bits, on every input and at every span length (the last vector of
+// a span is masked).
+
+bool signed_log_kernel_available() {
+  return vector_tier_available() && cpu_has_avx512f();
+}
+
+// Every `stride`-th 32-bit pattern, after crafted values: signed zeros,
+// subnormals, values where |x| + 1 rounds to 1 or crosses a power of two,
+// the table-interval edges of the logarithm, huge values, infinities and
+// NaNs of both signs.
+std::vector<float> signed_log_sweep(std::uint64_t stride) {
+  const std::uint32_t crafted[] = {
+      0x00000000, 0x80000000, 0x00000001, 0x80000001, 0x807fffff,
+      0x00800000, 0x33800000, 0xb3800000, 0x34000000, 0xb4000000,
+      0x3f800000, 0xbf800000, 0x3f7fffff, 0x3f330000, 0x3e999999,
+      0x41100000, 0xc2c60000, 0x4479c000, 0x4b7fffff, 0x4b800000,
+      0xcb800001, 0x7f7fffff, 0xff7fffff, 0x7f800000, 0xff800000,
+      0x7fc00000, 0xffc00000, 0x7f800001, 0xff812345, 0x7fbfffff,
+  };
+  std::vector<float> v;
+  for (const std::uint32_t bits : crafted) {
+    v.push_back(std::bit_cast<float>(bits));
+  }
+  for (std::uint64_t bits = 0; bits < (1ULL << 32); bits += stride) {
+    v.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(bits)));
+  }
+  return v;
+}
+
+// signed_log_span over `in`, cut into consecutive spans of 1, 2, …, 47
+// floats (then 1 again), at the current tier.
+std::vector<float> signed_log_in_spans(const std::vector<float>& in) {
+  std::vector<float> out(in.size());
+  std::size_t at = 0;
+  for (std::size_t len = 1; at < in.size(); len = len % 47 + 1) {
+    const std::size_t n = std::min(len, in.size() - at);
+    signed_log_span(in.data() + at, out.data() + at,
+                    static_cast<std::int64_t>(n));
+    at += n;
+  }
+  return out;
+}
+
+TEST(SignedLog, VectorMatchesScalarReferenceBitwise) {
+  if (!signed_log_kernel_available()) GTEST_SKIP() << "no AVX-512F on this CPU";
+  TierGuard guard;
+  const std::vector<float> in = signed_log_sweep(251);
+  set_gemm_tier(GemmTier::Scalar);
+  const std::vector<float> want = signed_log_in_spans(in);
+  set_gemm_tier(GemmTier::Avx2Fma);
+  const std::vector<float> got = signed_log_in_spans(in);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+            0);
+  // In place gives the same bits.
+  std::vector<float> inplace = in;
+  signed_log_span(inplace.data(), inplace.data(),
+                  static_cast<std::int64_t>(inplace.size()));
+  EXPECT_EQ(std::memcmp(inplace.data(), want.data(),
+                        want.size() * sizeof(float)),
+            0);
+}
+
+TEST(SignedLog, NeverReadsPastTheSpan) {
+  if (!signed_log_kernel_available()) GTEST_SKIP() << "no AVX-512F on this CPU";
+  TierGuard guard;
+  const std::vector<float> sweep = signed_log_sweep(65537);
+  constexpr std::int64_t kMaxLen = 47;
+  GuardedBuffer in_buf(kMaxLen * sizeof(float));
+  GuardedBuffer out_buf(kMaxLen * sizeof(float));
+  ASSERT_TRUE(in_buf.ok() && out_buf.ok());
+  for (std::int64_t n = 1; n <= kMaxLen; ++n) {
+    const float* first = sweep.data() + n * 97;
+    set_gemm_tier(GemmTier::Scalar);
+    std::vector<float> want(static_cast<std::size_t>(n));
+    signed_log_span(first, want.data(), n);
+
+    // Input and output each end flush against a PROT_NONE page.
+    set_gemm_tier(GemmTier::Avx2Fma);
+    float* in = in_buf.tail<float>(n);
+    float* out = out_buf.tail<float>(n);
+    std::copy(first, first + n, in);
+    signed_log_span(in, out, n);
+    EXPECT_EQ(std::memcmp(out, want.data(), want.size() * sizeof(float)), 0)
+        << "n=" << n;
+    signed_log_span(in, in, n);
+    EXPECT_EQ(std::memcmp(in, want.data(), want.size() * sizeof(float)), 0)
+        << "n=" << n << " in place";
   }
 }
 
