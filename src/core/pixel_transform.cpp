@@ -154,10 +154,9 @@ RawDiffCrop::RawDiffCrop(std::int64_t crop_size)
     : crop_(checked_crop(crop_size, "RawDiffCrop")) {}
 
 Tensor RawDiffCrop::forward(const Tensor& x) {
-  const CropWindow window(x.shape(), crop_, "RawDiffCrop");
+  Tensor out;
+  infer_into(x, out);
   cached_in_shape_ = x.shape();
-  Tensor out(window.out_shape());
-  window.diff(x.data(), out.data(), no_image_step);
   return out;
 }
 
@@ -175,9 +174,14 @@ Tensor RawDiffCrop::backward(const Tensor& grad_output) {
   if (cached_in_shape_.empty()) {
     throw std::logic_error("RawDiffCrop::backward before forward");
   }
+  const CropWindow window(cached_in_shape_, crop_, "RawDiffCrop");
+  if (grad_output.shape() != window.out_shape()) {
+    throw std::invalid_argument("RawDiffCrop::backward: gradient " +
+                                grad_output.shape_string() +
+                                " does not match the crop");
+  }
   const float* gy = grad_output.data();
-  return CropWindow(cached_in_shape_, crop_, "RawDiffCrop")
-      .scatter([gy](std::int64_t k) { return gy[k]; });
+  return window.scatter([gy](std::int64_t k) { return gy[k]; });
 }
 
 }  // namespace sne::core

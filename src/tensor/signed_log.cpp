@@ -98,7 +98,7 @@ struct LogTables {
   __m512d invc_lo, invc_hi, logc_lo, logc_hi;
 };
 
-// The double steps of signed_log_scalar for eight lanes: z (as float) and
+// The double steps of log10_from_one for eight lanes: z (as float) and
 // the lanes' table indices and kk. Returns logf(m) rounded to float.
 __attribute__((target("avx512f"))) inline __m256 logf8_avx512(
     const LogTables& t, __m256 z, __m256i index, __m256i kk) {

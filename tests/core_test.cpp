@@ -55,6 +55,17 @@ TEST(PixelTransform, RejectsWrongChannels) {
   EXPECT_THROW(t.forward(Tensor({1, 2, 1, 1})), std::invalid_argument);
 }
 
+TEST(PixelTransform, BackwardRejectsGradientOfWrongShape) {
+  DiffSignedLogCrop log_crop(2);
+  RawDiffCrop raw_crop(2);
+  const Tensor x({1, 2, 4, 4});
+  log_crop.forward(x);
+  raw_crop.forward(x);
+  EXPECT_THROW(log_crop.backward(Tensor({1, 1, 3, 3})), std::invalid_argument);
+  EXPECT_THROW(raw_crop.backward(Tensor({1, 1, 3, 3})), std::invalid_argument);
+  EXPECT_EQ(raw_crop.backward(Tensor({1, 1, 2, 2})).shape(), x.shape());
+}
+
 // A [37, 2, 44, 44] pair batch built from integer bits only, so no build
 // flag can change it. Images 0–3 hold the crafted diffs (ref = +0, obs =
 // the diff) cycled so each lands in every column; the rest pair random

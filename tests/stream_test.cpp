@@ -777,9 +777,8 @@ void expect_canary(GemmTier tier, bool with_tier1, std::uint64_t fp32,
                    std::uint64_t int8) {
 #ifndef SNE_BENCHMARK_FLAGS
   // Other optimization levels compile the float code (GEMM tail loops,
-  // pooling, signed-log) into different operation sequences, so every key
-  // moves: at -O2, seven of the eight differ. The keys pin the
-  // benchmark's build.
+  // pooling) into different operation sequences, so every key moves: at
+  // -O2, seven of the eight differ. The keys pin the benchmark's build.
   GTEST_SKIP() << "canary keys are pinned for the Release build only";
 #endif
   if (!gemm_tier_supported(tier)) {
