@@ -79,9 +79,10 @@ float log10_from_one(float a) {
 // negative subnormal d has |d| + 1 = 1 and must give −0.
 float signed_log_scalar(float d) {
   const float mag = log10_from_one(std::fabs(d) + 1.0f);
-  return d < 0.0f
-             ? std::bit_cast<float>(std::bit_cast<std::uint32_t>(mag) ^ kSignBit)
-             : mag;
+  if (d < 0.0f) {
+    return std::bit_cast<float>(std::bit_cast<std::uint32_t>(mag) ^ kSignBit);
+  }
+  return mag;
 }
 
 #if SNE_SIGNED_LOG_X86
