@@ -8,9 +8,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <new>
 #include <span>
 #include <stdexcept>
@@ -21,6 +23,7 @@
 #include "eval/parity.h"
 
 #include "core/band_cnn.h"
+#include "core/pixel_transform.h"
 #include "core/inference.h"
 #include "data/snapshot.h"
 #include "core/joint_model.h"
@@ -583,6 +586,281 @@ TEST(Int8Parity, JointAucStaysWithinQuantizationBudget) {
       << "auc fp32=" << parity.auc_reference
       << " int8=" << parity.auc_quantized
       << " max|Δscore|=" << parity.max_abs_diff;
+}
+
+// ---- golden digests of the band-CNN serving path ----
+
+// splitmix64: inputs and parameters from integer bits only, so no build
+// flag can change them.
+struct PinBits {
+  std::uint64_t state;
+  std::uint64_t next() {
+    std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+  }
+  // A float with a random sign (when `signed_`), a random mantissa and
+  // an exponent in [2^lo, 2^(lo+span)).
+  float value(int lo, int span, bool signed_) {
+    const std::uint64_t z = next();
+    const auto exp = static_cast<std::uint32_t>(
+        127 + lo + static_cast<int>((z >> 32) % static_cast<unsigned>(span)));
+    const std::uint32_t sign = signed_ ? static_cast<std::uint32_t>(z) &
+                                             0x80000000U
+                                       : 0U;
+    return std::bit_cast<float>(sign | (exp << 23) |
+                                (static_cast<std::uint32_t>(z) & 0x7fffffU));
+  }
+};
+
+// Overwrites every parameter and running statistic of `net` from `bits`,
+// in params() then buffers() order. Conv and Linear weights are scaled to
+// their fan-in; some PReLU slopes are negative, so a +0 pre-activation
+// leaves the epilogue as −0; every third channel's batch norm cancels its
+// conv bias (running mean = bias, β = +0), so zero input regions give
+// exact 0 outputs and whole windows of ties.
+void fill_pinned(nn::Module& net, PinBits& bits) {
+  const auto ends_with = [](const std::string& name, const std::string& s) {
+    return name.size() >= s.size() &&
+           name.compare(name.size() - s.size(), s.size(), s) == 0;
+  };
+  const std::vector<nn::Param*> params = net.params();
+  const std::vector<nn::Param*> buffers = net.buffers();
+  for (nn::Param* p : params) {
+    Tensor& v = p->value;
+    // Weights [out, fan-in]: 25 → 2^-3, 250 or 500 → 2^-5, 64 → 2^-4.
+    int lo = -2;
+    if (v.rank() == 2) {
+      for (std::int64_t f = v.extent(1); f >= 16; f /= 4) --lo;
+    }
+    for (std::int64_t i = 0; i < v.size(); ++i) {
+      if (ends_with(p->name, ".slope")) {
+        v[i] = bits.value(-3, 2, true);
+      } else if (ends_with(p->name, ".gamma")) {
+        v[i] = bits.value(-1, 2, false);
+      } else {
+        v[i] = bits.value(lo, 2, true);
+      }
+    }
+  }
+  for (nn::Param* b : buffers) {
+    const bool var = ends_with(b->name, ".running_var");
+    for (std::int64_t i = 0; i < b->value.size(); ++i) {
+      b->value[i] = var ? bits.value(-1, 3, false) : bits.value(-4, 3, true);
+    }
+  }
+  // "<conv>.bn.*" normalizes the conv whose bias is "<conv>.bias".
+  for (nn::Param* bn : params) {
+    if (!ends_with(bn->name, ".bn.beta")) continue;
+    const std::string conv = bn->name.substr(0, bn->name.size() - 8);
+    const nn::Param* bias = nullptr;
+    nn::Param* mean = nullptr;
+    for (nn::Param* p : params) {
+      if (p->name == conv + ".bias") bias = p;
+    }
+    for (nn::Param* b : buffers) {
+      if (b->name == conv + ".bn.running_mean") mean = b;
+    }
+    ASSERT_TRUE(bias != nullptr && mean != nullptr) << conv;
+    for (std::int64_t c = 0; c < bn->value.size(); c += 3) {
+      bn->value[c] = 0.0f;
+      mean->value[c] = bias->value[c];
+    }
+  }
+}
+
+// A [37, 2, S, S] pair batch. Ref pixels lie in [16, 256), obs pixels in
+// ±[8, 512). On top: image i % 4 == 1 holds NaNs with distinct payloads
+// (quiet and signalling, both signs) at scattered pixels; i % 4 == 2
+// holds ±Inf, ± subnormals and ±0 diffs; i % 4 == 3 has a 13×13 block
+// where obs == ref (diff +0, so the conv sees exact zeros); and i % 4 == 0
+// is plain. The specials sit inside the central crop.
+Tensor band_pin_batch(std::int64_t stamp) {
+  constexpr std::int64_t kN = 37;
+  Tensor x({kN, 2, stamp, stamp});
+  PinBits bits{0xBA5EBA11ULL + static_cast<std::uint64_t>(stamp)};
+  const std::int64_t plane = stamp * stamp;
+  for (std::int64_t i = 0; i < kN; ++i) {
+    float* ref = x.data() + (2 * i) * plane;
+    float* obs = ref + plane;
+    for (std::int64_t p = 0; p < plane; ++p) {
+      ref[p] = bits.value(4, 4, false);
+      obs[p] = bits.value(3, 6, true);
+    }
+    const auto at = [&](std::int64_t y, std::int64_t xx) -> float& {
+      return obs[(2 + y) * stamp + 2 + xx];
+    };
+    const std::int64_t span = stamp - 4;
+    if (i % 4 == 1) {
+      for (std::uint32_t j = 0; j < 12; ++j) {
+        const std::uint64_t z = bits.next();
+        const std::uint32_t payload =
+            (j % 3 == 2 ? 0x7f800000U : 0x7fc00000U) |
+            ((static_cast<std::uint32_t>(i) << 8) | (j + 1));
+        at(static_cast<std::int64_t>(z % static_cast<std::uint64_t>(span)),
+           static_cast<std::int64_t>((z >> 32) %
+                                     static_cast<std::uint64_t>(span))) =
+            std::bit_cast<float>(payload | (j % 2 == 1 ? 0x80000000U : 0U));
+      }
+    } else if (i % 4 == 2) {
+      static constexpr std::uint32_t kSpecial[] = {
+          0x7f800000, 0xff800000, 0x00000001, 0x80000001,
+          0x007fffff, 0x807fffff, 0x00000000, 0x80000000};
+      for (std::size_t j = 0; j < 3 * std::size(kSpecial); ++j) {
+        const std::uint64_t z = bits.next();
+        const std::int64_t y =
+            static_cast<std::int64_t>(z % static_cast<std::uint64_t>(span));
+        const std::int64_t xx = static_cast<std::int64_t>(
+            (z >> 32) % static_cast<std::uint64_t>(span));
+        const float v = std::bit_cast<float>(kSpecial[j % std::size(kSpecial)]);
+        // ±0 and subnormal diffs: obs = ref + v rounds back to ref, so
+        // put the value in both planes instead.
+        at(y, xx) = v;
+        if (j % std::size(kSpecial) >= 2) ref[(2 + y) * stamp + 2 + xx] = 0.0f;
+      }
+    } else if (i % 4 == 3) {
+      const std::int64_t y0 = 3 + i % 7;
+      const std::int64_t x0 = 5 + i % 5;
+      for (std::int64_t y = y0; y < y0 + 13; ++y) {
+        for (std::int64_t xx = x0; xx < x0 + 13; ++xx) {
+          at(y, xx) = ref[(2 + y) * stamp + 2 + xx];
+        }
+      }
+    }
+  }
+  return x;
+}
+
+std::uint64_t fnv1a_mix(std::uint64_t h, const Tensor& t) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(t.data());
+  for (std::size_t i = 0; i < static_cast<std::size_t>(t.size()) * 4; ++i) {
+    h = (h ^ bytes[i]) * 0x100000001B3ULL;
+  }
+  return h;
+}
+
+// The band CNN's three conv stages without the fully connected head, as
+// BandCnn builds them (same layer order, so fill_pinned gives both nets
+// the same trunk parameters).
+void build_band_trunk(nn::Sequential& net, std::int64_t input_size,
+                      Rng& rng) {
+  net.emplace<DiffSignedLogCrop>(input_size);
+  std::int64_t in_ch = 1;
+  for (const std::int64_t out_ch : {10, 20, 30}) {
+    const std::string tag = "bandcnn.conv" + std::to_string(out_ch / 10);
+    net.emplace<nn::Conv2d>(in_ch, out_ch, 5, rng, 1, 0, tag);
+    net.emplace<nn::BatchNorm2d>(out_ch, 0.1f, 1e-5f, tag + ".bn");
+    net.emplace<nn::PReLU>(out_ch, 0.25f, tag + ".prelu");
+    net.emplace<nn::MaxPool2d>(2);
+    in_ch = out_ch;
+  }
+  net.emplace<nn::Flatten>();
+}
+
+// FNV-1a over the fp32 plan outputs of two seeded band CNNs on the
+// crafted batch: input_size 44 (the joint model's: conv1 40×40, conv3
+// 16×16, conv5 4×4) and 45 (conv1 41×41, whose last row and column the
+// pool floors away; its one n % 8 tail pixel is one of them). Each digest
+// takes the whole model's [37, 1] output and the trunk's flattened
+// [37, 120] features.
+std::uint64_t band_plan_digest() {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const std::int64_t size : {44, 45}) {
+    const Tensor x = band_pin_batch(size);
+    Rng rng(24);
+    BandCnnConfig cfg;
+    cfg.input_size = size;
+    BandCnn cnn(cfg, rng);
+    PinBits bits{0x5EED0024ULL};
+    fill_pinned(cnn, bits);
+    cnn.set_training(false);
+    infer::InferenceSession session = make_session(cnn);
+    EXPECT_EQ(session.plan().num_steps(), 13u);
+    h = fnv1a_mix(h, session.run(x));
+
+    nn::Sequential trunk;
+    build_band_trunk(trunk, size, rng);
+    PinBits same{0x5EED0024ULL};
+    fill_pinned(trunk, same);
+    trunk.set_training(false);
+    infer::InferenceSession trunk_session(trunk, {2, size, size});
+    EXPECT_EQ(trunk_session.plan().num_steps(), 8u);
+    const Tensor features = trunk_session.run(x);
+    EXPECT_EQ(features.shape(), (Shape{37, 120}));
+    h = fnv1a_mix(h, features);
+  }
+  return h;
+}
+
+// Keys per tier and build. Release builds (-march=native) let GCC
+// contract a·b + c into an FMA in the batch-norm fold and the scalar GEMM
+// loops; the sanitizer builds (-O2, no -march) keep them apart.
+struct TierKeys {
+  std::uint64_t avx2;
+  std::uint64_t scalar;
+};
+
+void expect_tier_keys(const TierKeys& want,
+                      const std::function<std::uint64_t()>& digest) {
+  const GemmTier previous = gemm_tier();
+  for (const GemmTier tier : {GemmTier::Avx2Fma, GemmTier::Scalar}) {
+    if (!gemm_tier_supported(tier)) continue;
+    set_gemm_tier(tier);
+    const std::uint64_t got = digest();
+    EXPECT_EQ(got, tier == GemmTier::Avx2Fma ? want.avx2 : want.scalar)
+        << gemm_tier_name(tier) << std::hex << " got 0x" << got;
+  }
+  set_gemm_tier(previous);
+}
+
+TEST(InferParity, BandCnnPlanMatchesGoldenDigest) {
+#if defined(__FMA__)
+  constexpr TierKeys kKeys{0x4a5a3efead164749ULL, 0xa6954a2323833a31ULL};
+#else
+  constexpr TierKeys kKeys{0xd817b9e1cca12ca9ULL, 0xbf69ba1b46633674ULL};
+#endif
+  expect_tier_keys(kKeys, band_plan_digest);
+}
+
+// The calibration table an int8 plan is lowered against: input_max and
+// every step_max entry of the joint-size band CNN's fp32 plan, recorded
+// over two finite batches, then the plan's step count. Saved .snet v2
+// files carry these tables, so their layout and bytes must not move.
+std::uint64_t calibration_digest() {
+  Rng rng(24);
+  BandCnnConfig cfg;
+  cfg.input_size = 44;
+  BandCnn cnn(cfg, rng);
+  PinBits bits{0xCA11B8ULL};
+  fill_pinned(cnn, bits);
+  cnn.set_training(false);
+  infer::InferenceSession session = make_session(cnn);
+  infer::CalibrationTable table;
+  Tensor out;
+  for (int b = 0; b < 2; ++b) {
+    Tensor x({9, 2, 44, 44});
+    for (std::int64_t i = 0; i < x.size(); ++i) {
+      x[i] = bits.value(2, 7, i % 2 == 1);
+    }
+    session.calibrate(x, out, table);
+  }
+  std::uint64_t h = fnv1a_mix(0xCBF29CE484222325ULL, table.input_max);
+  h = fnv1a_mix(h, table.step_max);
+  const auto steps = static_cast<std::uint64_t>(session.plan().num_steps());
+  for (int byte = 0; byte < 8; ++byte) {
+    h = (h ^ ((steps >> (8 * byte)) & 0xFF)) * 0x100000001B3ULL;
+  }
+  return h;
+}
+
+TEST(Int8Parity, CalibrationTableMatchesGoldenDigest) {
+#if defined(__FMA__)
+  constexpr TierKeys kKeys{0x27021bec248a39b8ULL, 0xed4676ae4c68446eULL};
+#else
+  constexpr TierKeys kKeys{0x360a406586b4517dULL, 0x1d31a226c9d6a43cULL};
+#endif
+  expect_tier_keys(kKeys, calibration_digest);
 }
 
 TEST(InferParity, SteadyStateRunIsAllocationFree) {

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/inference.h"
 #include "core/sne_pipeline.h"
 #include "eval/roc.h"
 #include "sim/dataset_io.h"
@@ -84,6 +85,44 @@ TEST(SnePipeline, SaveLoadPreservesScores) {
   EXPECT_EQ(restored.config().hidden_units, 16);
   for (std::int64_t i = 0; i < 5; ++i) {
     EXPECT_NEAR(pipeline.score(data, i), restored.score(data, i), 1e-5);
+  }
+}
+
+// An int8 pipeline saves as a .snet v2 file: its calibration tables (one
+// step_max entry per plan step of each sub-network) plus the quantized
+// conv weights, which load() recomputes from those tables and refuses to
+// serve unless they match. A plan whose step count changed would refuse
+// every file saved before it; this round trip pins the band CNN's 13
+// steps and its three int8 convs.
+TEST(SnePipeline, Int8SaveLoadKeepsCalibrationAndScores) {
+  const sim::SnDataset data = small_dataset(30, 78);
+  core::SnePipeline pipeline(tiny_pipeline_config());
+  pipeline.train(data, range_indices(0, 30));
+  pipeline.calibrate(data, range_indices(0, 8));
+  pipeline.set_precision(Precision::Int8);
+  ASSERT_EQ(pipeline.precision(), Precision::Int8);
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "sne_pipeline_int8.snet")
+          .string();
+  pipeline.save(path);
+  core::SnePipeline restored = core::SnePipeline::load(path);
+  std::remove(path.c_str());
+
+  EXPECT_EQ(restored.precision(), Precision::Int8);
+  const infer::CalibrationTable& table = restored.calibration().cnn;
+  EXPECT_TRUE(table.step_max.equals(pipeline.calibration().cnn.step_max));
+  EXPECT_TRUE(table.input_max.equals(pipeline.calibration().cnn.input_max));
+  core::SessionOptions options;
+  options.precision = Precision::Int8;
+  options.calibration = &table;
+  const auto plan =
+      core::compile_plan(restored.joint_model().band_cnn(), options);
+  EXPECT_EQ(plan->num_steps(), 13u);
+  EXPECT_EQ(table.step_max.size(), 13);
+  EXPECT_EQ(plan->num_int8_steps(), 3u);
+  for (std::int64_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(pipeline.score(data, i), restored.score(data, i)) << i;
   }
 }
 
