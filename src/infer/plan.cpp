@@ -9,6 +9,7 @@
 
 #include "nn/activation.h"
 #include "nn/batchnorm.h"
+#include "nn/pooling.h"
 #include "obs/obs.h"
 
 namespace sne::infer {
@@ -101,6 +102,21 @@ InferencePlan::InferencePlan(const nn::Sequential& net,
       }
     }
 
+    // A 2×2/stride-2 max-pool right after the conv is computed by the
+    // conv step (see Step::pool_fused); its own step stays, absorbed.
+    const auto* pool =
+        (conv != nullptr && i + 1 < net.size())
+            ? dynamic_cast<const nn::MaxPool2d*>(&net.layer(i + 1))
+            : nullptr;
+    if (pool != nullptr && pool->kernel() == 2 && pool->stride() == 2) {
+      step.conv = conv;
+      step.pool_fused = true;
+      ++num_fused_pool_;
+    }
+    const bool absorbs = !steps_.empty() && steps_.back().pool_fused &&
+                         dynamic_cast<const nn::MaxPool2d*>(&layer) != nullptr;
+    step.absorbed = absorbs;
+
     cur = layer.infer_shape(cur);  // BN/PReLU preserve shape, so this holds
     step.sample_out = cur;
     step.trace_name = obs::intern(
@@ -158,6 +174,12 @@ void InferencePlan::lower_int8(const CalibrationTable& calibration) {
       step.input_inv_scale = 127.0f / cur_max;
       step.conv = conv;  // unfolded/unfused convs need the typed entry too
       step.int8 = true;
+      // The int8 conv runs unpooled; the pool step runs on its own again.
+      if (step.pool_fused) {
+        step.pool_fused = false;
+        steps_[i + 1].absorbed = false;
+        --num_fused_pool_;
+      }
       ++num_int8_;
       step.trace_name = obs::intern(std::string(step.trace_name) + "+i8");
     }

@@ -6,7 +6,10 @@
 // are pure reshapes, folds each Conv2d → BatchNorm2d pair into a single
 // convolution with adjusted weights, and fuses a following per-channel
 // PReLU into that convolution's GEMM epilogue — so the paper's
-// conv→BN→PReLU module executes as ONE fused step per stage. The plan is
+// conv→BN→PReLU module executes as ONE fused step per stage — and lets
+// that step also compute a following 2×2 max-pool, whose step stays in
+// the plan (absorbed: run() skips it) so step counts, step names and
+// calibration tables do not change. The plan is
 // immutable and borrows the network: build it once from a trained model,
 // then share it across any number of InferenceSessions (one per serving
 // thread).
@@ -87,6 +90,9 @@ class InferencePlan {
   std::size_t num_folded() const noexcept { return num_folded_; }
   /// Number of PReLU activations fused into a convolution epilogue.
   std::size_t num_fused_prelu() const noexcept { return num_fused_prelu_; }
+  /// Number of 2×2 max-pool steps that run() computes inside the conv
+  /// step before them (each stays in the plan as an absorbed step).
+  std::size_t num_fused_pool() const noexcept { return num_fused_pool_; }
   /// The precision this plan was lowered to.
   Precision precision() const noexcept { return precision_; }
   /// Number of steps running the int8 kernel (0 for fp32 plans; the
@@ -117,6 +123,14 @@ class InferencePlan {
     /// Per-channel PReLU slopes [Cout] fused into the conv's GEMM
     /// epilogue; empty when no activation was fused.
     Tensor prelu;
+    /// Conv step followed by a MaxPool2d(2) step: run() has the conv
+    /// write the pooled output itself (sconv_serial's pooled output,
+    /// bitwise equal to conv then pool) and skips the pool step, which
+    /// stays in the plan marked `absorbed`. calibrate() runs both steps
+    /// unfused, so each keeps its own step_max entry, and an int8 conv
+    /// step is never pool-fused.
+    bool pool_fused = false;
+    bool absorbed = false;
     /// Int8 lowering of this conv step (int8 == true): per-channel
     /// quantized weights, the precomputed requant scales
     /// (input_scale · weight_scale[c]) for the igemm epilogue, and the
@@ -142,6 +156,7 @@ class InferencePlan {
   std::vector<Step> steps_;
   std::size_t num_folded_ = 0;
   std::size_t num_fused_prelu_ = 0;
+  std::size_t num_fused_pool_ = 0;
   std::size_t num_int8_ = 0;
   Precision precision_ = Precision::Fp32;
 };

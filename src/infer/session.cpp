@@ -97,10 +97,16 @@ void InferenceSession::run_impl(ConstTensorView batch, Tensor& out,
   // buffer are in-place metadata changes (Tensor::resize with an equal
   // element count reuses the buffer); a Flatten over the caller's batch
   // is a pure view reinterpretation — the step costs nothing either way.
+  // A pool-fused conv writes the pooled output and its absorbed pool step
+  // does nothing (its span still opens, so per-step telemetry keeps one
+  // line per step); calibration runs both, to record each step's range.
+  const bool fuse_pools = calib == nullptr;
   for (std::size_t s = 0; s < plan.steps_.size(); ++s) {
     const auto& step = plan.steps_[s];
     obs::Span step_span(step.trace_name);
-    const bool last = (s + 1 == plan.steps_.size());
+    if (step.absorbed && fuse_pools) continue;
+    const bool pool = step.pool_fused && fuse_pools;
+    const bool last = s + (pool ? 2 : 1) == plan.steps_.size();
     if (step.reshape_only) {
       shape_scratch_.assign(step.sample_out.begin(), step.sample_out.end());
       shape_scratch_[0] = n;
@@ -144,7 +150,7 @@ void InferenceSession::run_impl(ConstTensorView batch, Tensor& out,
       const Tensor& w = step.folded ? step.weight : step.conv->weight().value;
       const Tensor& b = step.folded ? step.bias : step.conv->bias().value;
       step.conv->infer_with(w, b, cur, *dst,
-                            step.prelu.empty() ? nullptr : &step.prelu);
+                            step.prelu.empty() ? nullptr : &step.prelu, pool);
     } else {
       step.layer->infer_into(cur, *dst);
     }

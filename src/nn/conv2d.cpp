@@ -96,7 +96,7 @@ void Conv2d::infer_into(ConstTensorView x, Tensor& out) const {
 
 void Conv2d::infer_with(const Tensor& weight, const Tensor& bias,
                         ConstTensorView x, Tensor& out,
-                        const Tensor* prelu) const {
+                        const Tensor* prelu, bool pool_2x2) const {
   if (x.rank() != 4 || x.extent(1) != in_channels_) {
     throw std::invalid_argument("Conv2d::infer_with: expected [N, " +
                                 std::to_string(in_channels_) +
@@ -110,7 +110,15 @@ void Conv2d::infer_with(const Tensor& weight, const Tensor& bias,
   if (out_h <= 0 || out_w <= 0) {
     throw std::invalid_argument("Conv2d::infer_with: kernel larger than input");
   }
-  out.resize({n, out_channels_, out_h, out_w});
+  if (pool_2x2 && (out_h < 2 || out_w < 2)) {
+    throw std::invalid_argument(
+        "Conv2d::infer_with: output smaller than the 2×2 pool window");
+  }
+  if (pool_2x2) {
+    out.resize({n, out_channels_, out_h / 2, out_w / 2});
+  } else {
+    out.resize({n, out_channels_, out_h, out_w});
+  }
 
   // Bias — and, when the planner fused the following activation, the
   // per-channel PReLU — run in the GEMM epilogue, bitwise identical to the
@@ -122,7 +130,7 @@ void Conv2d::infer_with(const Tensor& weight, const Tensor& bias,
   const GemmEpilogue ep{bias.data(),
                         prelu != nullptr ? prelu->data() : nullptr};
   sconv_serial(n, x.data(), in_channels_, h, w, kernel_, pad_, stride_,
-               weight.data(), out_channels_, out.data(), ep);
+               weight.data(), out_channels_, out.data(), ep, pool_2x2);
 }
 
 void Conv2d::infer_quantized(const std::int8_t* qweight,

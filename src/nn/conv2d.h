@@ -56,7 +56,8 @@ class Conv2d final : public Module {
   /// bias add and PReLU select, and the kernel runs the same sequence.
   /// Serial and allocation-free after warmup.
   void infer_with(const Tensor& weight, const Tensor& bias, ConstTensorView x,
-                  Tensor& out, const Tensor* prelu = nullptr) const;
+                  Tensor& out, const Tensor* prelu = nullptr,
+                  bool pool_2x2 = false) const;
 
   /// Quantized inference: per sample, quantizes the f32 input with
   /// `input_inv_scale` (= 127 / calibrated max|x|) into `scratch`, then

@@ -1,20 +1,11 @@
 #include "nn/pooling.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
-#include "tensor/gemm.h"
-
-#if defined(__x86_64__) || defined(_M_X64)
-#include <immintrin.h>
-#define SNE_POOL_X86 1
-#else
-#define SNE_POOL_X86 0
-#endif
+#include "tensor/pool.h"
 
 namespace sne::nn {
 
@@ -35,115 +26,6 @@ std::int64_t pooled_extent(std::int64_t in, std::int64_t kernel,
   return (in - kernel) / stride + 1;
 }
 
-#if SNE_POOL_X86
-
-// One fold step of the scalar update rule, per lane:
-//   take v when (v > best, ordered) or (best is NaN and v is not).
-// _CMP_GT_OQ is false whenever either operand is NaN — exactly like the
-// scalar `v > best` — so the blend reproduces the scalar result bit for
-// bit, including the all-NaN window and the first-seen-zero tie cases.
-__attribute__((target("avx2"))) inline __m256 pool_fold_avx2(__m256 best,
-                                                             __m256 v) {
-  const __m256 gt = _mm256_cmp_ps(v, best, _CMP_GT_OQ);
-  const __m256 nan_best = _mm256_cmp_ps(best, best, _CMP_UNORD_Q);
-  const __m256 ord_v = _mm256_cmp_ps(v, v, _CMP_ORD_Q);
-  return _mm256_blendv_ps(best, v, _mm256_or_ps(gt, _mm256_and_ps(nan_best, ord_v)));
-}
-
-// 2x2 stride-2 pool of one plane with ow ≥ 8, eight output columns per
-// iteration. The two shuffles split 16 consecutive inputs into even/odd
-// columns (lane-scrambled, but identically for all four operands, so each
-// lane still folds one window in the scalar's encounter order: top-left,
-// top-right, bottom-left, bottom-right); one 64-bit permute restores output
-// order. The ow % 8 tail columns are the last vector of the row again,
-// moved back to end at ow: its overlap rewrites the same values.
-__attribute__((target("avx2"))) void maxpool_2x2_avx2(const float* plane,
-                                                      std::int64_t w,
-                                                      std::int64_t oh,
-                                                      std::int64_t ow,
-                                                      float* dst) {
-  for (std::int64_t oy = 0; oy < oh; ++oy) {
-    const float* r0 = plane + 2 * oy * w;
-    const float* r1 = r0 + w;
-    float* out = dst + oy * ow;
-    for (std::int64_t ox = 0; ox < ow; ox += 8) {
-      ox = std::min(ox, ow - 8);
-      const __m256 a0 = _mm256_loadu_ps(r0 + 2 * ox);
-      const __m256 a1 = _mm256_loadu_ps(r0 + 2 * ox + 8);
-      const __m256 b0 = _mm256_loadu_ps(r1 + 2 * ox);
-      const __m256 b1 = _mm256_loadu_ps(r1 + 2 * ox + 8);
-      const __m256 e0 = _mm256_shuffle_ps(a0, a1, _MM_SHUFFLE(2, 0, 2, 0));
-      const __m256 o0 = _mm256_shuffle_ps(a0, a1, _MM_SHUFFLE(3, 1, 3, 1));
-      const __m256 e1 = _mm256_shuffle_ps(b0, b1, _MM_SHUFFLE(2, 0, 2, 0));
-      const __m256 o1 = _mm256_shuffle_ps(b0, b1, _MM_SHUFFLE(3, 1, 3, 1));
-      const __m256 m =
-          pool_fold_avx2(pool_fold_avx2(pool_fold_avx2(e0, o0), e1), o1);
-      const __m256 fixed = _mm256_castpd_ps(_mm256_permute4x64_pd(
-          _mm256_castps_pd(m), _MM_SHUFFLE(3, 1, 2, 0)));
-      _mm256_storeu_ps(out + ox, fixed);
-    }
-  }
-}
-
-// 2x2 stride-2 pool of `planes` consecutive h×w planes with ow < 8: the
-// batch's outputs, flat across plane boundaries, eight per vector. Lane l
-// of the vector at output o gathers the four window elements of output
-// o + l in the scalar's encounter order. Those offsets repeat every
-// lcm(8, oh·ow) outputs (8 / gcd(8, oh·ow) whole planes), so one table of
-// that many offsets, relative to the period's first plane, serves the
-// batch. The last partial vector gathers and stores under a lane mask.
-// Offsets are int32: the caller keeps 8·h·w within range.
-__attribute__((target("avx2"))) void maxpool_2x2_narrow_avx2(
-    const float* x, std::int64_t planes, std::int64_t h, std::int64_t w,
-    std::int64_t oh, std::int64_t ow, float* dst) {
-  const std::int64_t per_plane = oh * ow;
-  const std::int64_t total = planes * per_plane;
-  const std::int64_t vectors = per_plane / std::gcd<std::int64_t>(per_plane, 8);
-  const std::int64_t period = 8 * vectors / per_plane * h * w;
-  thread_local std::vector<std::int32_t> table;  // grow-only
-  table.resize(static_cast<std::size_t>(8 * vectors));
-  for (std::int64_t q = 0; q < 8 * vectors; ++q) {
-    const std::int64_t s = q % per_plane;
-    table[static_cast<std::size_t>(q)] = static_cast<std::int32_t>(
-        q / per_plane * h * w + 2 * (s / ow) * w + 2 * (s % ow));
-  }
-  std::int64_t base = 0;
-  std::int64_t v = 0;
-  for (std::int64_t o = 0; o < total; o += 8) {
-    const __m256i idx = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(table.data() + 8 * v));
-    const float* tl = x + base;
-    __m256 m;
-    if (total - o >= 8) {
-      m = pool_fold_avx2(
-          pool_fold_avx2(pool_fold_avx2(_mm256_i32gather_ps(tl, idx, 4),
-                                        _mm256_i32gather_ps(tl + 1, idx, 4)),
-                         _mm256_i32gather_ps(tl + w, idx, 4)),
-          _mm256_i32gather_ps(tl + w + 1, idx, 4));
-      _mm256_storeu_ps(dst + o, m);
-    } else {
-      const __m256i live = _mm256_cmpgt_epi32(
-          _mm256_set1_epi32(static_cast<int>(total - o)),
-          _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-      const __m256 mask = _mm256_castsi256_ps(live);
-      const __m256 zero = _mm256_setzero_ps();
-      m = pool_fold_avx2(
-          pool_fold_avx2(
-              pool_fold_avx2(
-                  _mm256_mask_i32gather_ps(zero, tl, idx, mask, 4),
-                  _mm256_mask_i32gather_ps(zero, tl + 1, idx, mask, 4)),
-              _mm256_mask_i32gather_ps(zero, tl + w, idx, mask, 4)),
-          _mm256_mask_i32gather_ps(zero, tl + w + 1, idx, mask, 4));
-      _mm256_maskstore_ps(dst + o, live, m);
-    }
-    if (++v == vectors) {
-      v = 0;
-      base += period;
-    }
-  }
-}
-
-#endif  // SNE_POOL_X86
 
 }  // namespace
 
@@ -214,26 +96,12 @@ void MaxPool2d::infer_into(ConstTensorView x, Tensor& out) const {
   const std::int64_t ow = pooled_extent(w, kernel_, stride_);
 
   out.resize({n, c, oh, ow});
-#if SNE_POOL_X86
-  // The serving-shaped window (2x2, stride 2) takes a vector pool: plane
-  // by plane when a plane has at least 8 output columns, else across
-  // planes (whose int32 gather offsets span up to 8 planes). Both are
-  // bitwise identical to the scalar walk below (see pool_fold_avx2) and
-  // pinned against it by the dispatch test.
-  if (kernel_ == 2 && stride_ == 2 && gemm_tier() == GemmTier::Avx2Fma) {
-    if (ow >= 8) {
-      for (std::int64_t p = 0; p < n * c; ++p) {
-        maxpool_2x2_avx2(x.data() + p * h * w, w, oh, ow,
-                         out.data() + p * oh * ow);
-      }
-      return;
-    }
-    if (8 * h * w <= INT32_MAX) {
-      maxpool_2x2_narrow_avx2(x.data(), n * c, h, w, oh, ow, out.data());
-      return;
-    }
+  // The serving-shaped window (2x2, stride 2) is the tensor layer's pool,
+  // which sconv_serial's pooled output shares (see tensor/pool.h).
+  if (kernel_ == 2 && stride_ == 2) {
+    maxpool_2x2(x.data(), n * c, h, w, out.data());
+    return;
   }
-#endif
   // Same window walk and NaN semantics as forward, without the argmax
   // bookkeeping backward needs.
   std::int64_t o = 0;

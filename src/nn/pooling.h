@@ -23,6 +23,9 @@ class MaxPool2d final : public Module {
   void infer_into(ConstTensorView x, Tensor& out) const override;
   Shape infer_shape(const Shape& in) const override;
 
+  std::int64_t kernel() const noexcept { return kernel_; }
+  std::int64_t stride() const noexcept { return stride_; }
+
  private:
   std::int64_t kernel_;
   std::int64_t stride_;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "tensor/env.h"
+#include "tensor/pool.h"
 #include "tensor/thread_pool.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -1541,13 +1542,28 @@ void sconv_serial(std::int64_t batch, const float* image,
                   std::int64_t width, std::int64_t kernel, std::int64_t pad,
                   std::int64_t stride, const float* weight,
                   std::int64_t out_channels, float* out,
-                  const GemmEpilogue& epilogue) {
+                  const GemmEpilogue& epilogue, bool pool_2x2) {
   const std::int64_t out_h = conv_out_extent(height, kernel, pad, stride);
   const std::int64_t out_w = conv_out_extent(width, kernel, pad, stride);
   const std::int64_t n = out_h * out_w;
   const std::int64_t k = channels * kernel * kernel;
   const std::int64_t chw = channels * height * width;
   const std::int64_t out_stride = out_channels * n;
+
+  if (pool_2x2) {
+    // Each image's plain output into a per-thread plane, then the shared
+    // pool: by construction the bits of conv + MaxPool2d.
+    const std::int64_t pooled = out_channels * (out_h / 2) * (out_w / 2);
+    thread_local std::vector<float> plane;  // grow-only
+    plane.resize(static_cast<std::size_t>(out_stride));
+    for (std::int64_t i = 0; i < batch; ++i) {
+      sconv_serial(1, image + i * chw, channels, height, width, kernel, pad,
+                   stride, weight, out_channels, plane.data(), epilogue);
+      maxpool_2x2(plane.data(), out_channels, out_h, out_w,
+                  out + i * pooled);
+    }
+    return;
+  }
 
   if (kernel == 1 && stride == 1 && pad == 0) {
     for (std::int64_t i = 0; i < batch; ++i) {

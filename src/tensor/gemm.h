@@ -125,7 +125,7 @@ void sconv_serial(std::int64_t batch, const float* image,
                   std::int64_t width, std::int64_t kernel, std::int64_t pad,
                   std::int64_t stride, const float* weight,
                   std::int64_t out_channels, float* out,
-                  const GemmEpilogue& epilogue = {});
+                  const GemmEpilogue& epilogue = {}, bool pool_2x2 = false);
 
 /// C[m×n] = alpha * Aᵀ (A is k×m) · B[k×n] + beta * C.
 ///

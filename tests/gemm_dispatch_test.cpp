@@ -752,6 +752,210 @@ TEST(GemmDispatch, DirectConvNeverReadsPastTheImage) {
   }
 }
 
+// ---- pooled conv output ----
+//
+// sconv_serial with pool_2x2 (what the plan runs for a conv followed by
+// MaxPool2d(2)) must write exactly the bits of its plain output pooled by
+// MaxPool2d::infer_into, whichever kernel computes it: the direct pooled
+// kernel, or the plain conv into a per-thread plane and the shared pool.
+// The sweep crosses wide planes (row-pair strips, last chunk masked) and
+// narrow ones (out_w < 16), odd extents whose last row or column no window
+// reads, outputs with n % 8 tail pixels inside pooled windows (18×18: 320–
+// 323) or outside them (17×17), outputs that are all tail (2×2), the
+// 12-row channel groups, and the lowerings that never run direct.
+
+// A pooled-conv case: kernel 5 unless noted, stride 1 and pad 0 unless
+// noted.
+struct PoolConvCase {
+  std::int64_t cin, oh, ow, cout;
+  int epilogue;  // 0 none, 1 bias, 2 bias + PReLU
+  std::int64_t kernel = 5, stride = 1, pad = 0;
+  std::int64_t h() const { return (oh - 1) * stride + kernel - 2 * pad; }
+  std::int64_t w() const { return (ow - 1) * stride + kernel - 2 * pad; }
+};
+
+// Operands whose windows reach every branch of the pool rule. Each image
+// holds three NaN pixels with distinct payloads (both signs, one
+// signalling) and two ±Inf pixels, so whole receptive fields turn NaN
+// (payloads carried, or the default NaN where +Inf meets −Inf) next to
+// ordered ones; and a zero plate with sparse ±1 pixels. Output channel 0
+// has weights ±2^-149 and a zero bias, so over the plate its sums are a
+// few multiples of 2^-149 or exactly +0: with the PReLU slope −0.25 a +0
+// turns −0 and −2^-149 underflows to +0, and windows mix the two zeros.
+// Elsewhere the plate gives whole windows of equal bias values.
+struct PoolConvOperands {
+  Tensor x, weight, bias, slope;
+  PoolConvOperands(const PoolConvCase& s, std::int64_t batch) {
+    const std::int64_t h = s.h();
+    const std::int64_t w = s.w();
+    const std::int64_t k = s.cin * s.kernel * s.kernel;
+    PinValues v{static_cast<std::uint64_t>(
+        (((s.cin * 64 + s.oh) * 64 + s.ow) * 64 + s.cout) * 8 + s.kernel)};
+    x = Tensor({batch, s.cin, h, w});
+    weight = Tensor({s.cout, k});
+    bias = Tensor({s.cout});
+    slope = Tensor({s.cout});
+    for (Tensor* t : {&x, &weight, &bias, &slope}) {
+      const auto values = v.fill(t->size());
+      std::copy(values.begin(), values.end(), t->data());
+    }
+    for (std::int64_t p = 0; p < k; ++p) {
+      weight.data()[p] = std::bit_cast<float>(
+          0x00000001u | (v.next() < 0.0f ? 0x80000000u : 0u));
+    }
+    bias.data()[0] = 0.0f;
+    slope.data()[0] = -0.25f;
+    const auto pick = [&v](std::int64_t extent) {
+      return std::min(extent - 1,
+                      static_cast<std::int64_t>((v.next() + 1.0f) * 0.5f *
+                                                static_cast<float>(extent)));
+    };
+    for (std::int64_t i = 0; i < batch; ++i) {
+      float* img = x.data() + i * s.cin * h * w;
+      for (std::int64_t y = h / 4; y < h / 4 + (h + 1) / 2; ++y) {
+        for (std::int64_t xx = w / 4; xx < w / 4 + (w + 1) / 2; ++xx) {
+          for (std::int64_t c = 0; c < s.cin; ++c) {
+            const float r = v.next();
+            img[(c * h + y) * w + xx] = r > 0.875f    ? 1.0f
+                                        : r < -0.875f ? -1.0f
+                                                      : 0.0f;
+          }
+        }
+      }
+      const std::uint32_t specials[] = {
+          0x7fc00000u | static_cast<std::uint32_t>(i * 16 + 1),
+          0xffc00000u | static_cast<std::uint32_t>(i * 16 + 2),
+          0x7f800000u | static_cast<std::uint32_t>(i * 16 + 3),
+          0x7f800000u, 0xff800000u};
+      for (const std::uint32_t bits : specials) {
+        img[(pick(s.cin) * h + pick(h)) * w + pick(w)] =
+            std::bit_cast<float>(bits);
+      }
+    }
+  }
+  GemmEpilogue epilogue(int form) const {
+    return {form >= 1 ? bias.data() : nullptr,
+            form == 2 ? slope.data() : nullptr};
+  }
+};
+
+Tensor conv_then_pool(const PoolConvCase& s, const PoolConvOperands& in,
+                      const float* image) {
+  const std::int64_t batch = in.x.extent(0);
+  Tensor plain({batch, s.cout, s.oh, s.ow});
+  sconv_serial(batch, image, s.cin, s.h(), s.w(), s.kernel, s.pad, s.stride,
+               in.weight.data(), s.cout, plain.data(),
+               in.epilogue(s.epilogue));
+  Tensor pooled;
+  nn::MaxPool2d(2).infer_into(plain, pooled);
+  return pooled;
+}
+
+Tensor pooled_conv(const PoolConvCase& s, const PoolConvOperands& in,
+                   const float* image) {
+  Tensor out({in.x.extent(0), s.cout, s.oh / 2, s.ow / 2});
+  sconv_serial(in.x.extent(0), image, s.cin, s.h(), s.w(), s.kernel, s.pad,
+               s.stride, in.weight.data(), s.cout, out.data(),
+               in.epilogue(s.epilogue), true);
+  return out;
+}
+
+TEST(GemmDispatch, FusedConvPoolMatchesConvThenPoolBitwise) {
+  constexpr std::int64_t kExtent[][2] = {
+      {4, 4},  {7, 7},   {16, 16}, {17, 17}, {18, 18}, {40, 40},
+      {4, 40}, {40, 4},  {17, 18}, {18, 17}, {7, 16},  {2, 2}, {3, 3}};
+  constexpr std::int64_t kCin[] = {1, 3, 10, 20};
+  constexpr std::int64_t kCout[] = {1, 8, 10, 12, 13, 20, 30};
+  std::vector<PoolConvCase> cases;
+  for (const std::int64_t cin : kCin) {
+    for (const auto& e : kExtent) {
+      for (const std::int64_t cout : kCout) {
+        for (int epilogue = 0; epilogue < 3; ++epilogue) {
+          cases.push_back({cin, e[0], e[1], cout, epilogue});
+        }
+      }
+    }
+  }
+  // Lowerings that never run direct: 1×1, stride 2, pad 1.
+  for (const std::int64_t cout : {std::int64_t{10}, std::int64_t{13}}) {
+    cases.push_back({3, 18, 17, cout, 2, 1});
+    cases.push_back({3, 9, 8, cout, 2, 5, 2});
+    cases.push_back({3, 10, 11, cout, 2, 5, 1, 1});
+  }
+  TierGuard guard;
+  std::int64_t nan_windows = 0;
+  std::int64_t mixed_zero_windows = 0;
+  for (const GemmTier tier : {GemmTier::Scalar, GemmTier::Avx2Fma}) {
+    if (!gemm_tier_supported(tier)) continue;
+    set_gemm_tier(tier);
+    for (const PoolConvCase& s : cases) {
+      const PoolConvOperands in(s, 2);
+      const Tensor want = conv_then_pool(s, in, in.x.data());
+      const Tensor got = pooled_conv(s, in, in.x.data());
+      ASSERT_TRUE(same_bits(got, want))
+          << gemm_tier_name(tier) << " cin=" << s.cin << " oh=" << s.oh
+          << " ow=" << s.ow << " cout=" << s.cout
+          << " epilogue=" << s.epilogue << " kernel=" << s.kernel
+          << " stride=" << s.stride << " pad=" << s.pad;
+      if (tier != GemmTier::Avx2Fma || s.epilogue != 2) continue;
+      // The operands must reach the rule's branches: partly-NaN windows,
+      // and windows whose maximum is a tie of +0 and −0.
+      Tensor plain({2, s.cout, s.oh, s.ow});
+      sconv_serial(2, in.x.data(), s.cin, s.h(), s.w(), s.kernel, s.pad,
+                   s.stride, in.weight.data(), s.cout, plain.data(),
+                   in.epilogue(2));
+      for (std::int64_t p = 0; p < 2 * s.cout; ++p) {
+        const float* pl = plain.data() + p * s.oh * s.ow;
+        for (std::int64_t y = 0; y + 1 < s.oh; y += 2) {
+          for (std::int64_t x = 0; x + 1 < s.ow; x += 2) {
+            const float win[4] = {pl[y * s.ow + x], pl[y * s.ow + x + 1],
+                                  pl[(y + 1) * s.ow + x],
+                                  pl[(y + 1) * s.ow + x + 1]};
+            int nans = 0, pos0 = 0, neg0 = 0;
+            float best = -std::numeric_limits<float>::infinity();
+            for (const float f : win) {
+              nans += std::isnan(f) ? 1 : 0;
+              if (f == 0.0f) (std::signbit(f) ? neg0 : pos0) += 1;
+              if (!std::isnan(f)) best = std::max(best, f);
+            }
+            nan_windows += nans > 0 && nans < 4 ? 1 : 0;
+            mixed_zero_windows += best == 0.0f && pos0 > 0 && neg0 > 0;
+          }
+        }
+      }
+    }
+  }
+  if (vector_tier_available()) {
+    EXPECT_GT(nan_windows, 0);
+    EXPECT_GT(mixed_zero_windows, 0);
+  }
+}
+
+TEST(GemmDispatch, FusedConvPoolNeverReadsPastTheImage) {
+  if (!vector_tier_available()) GTEST_SKIP() << "no AVX2+FMA on this CPU";
+  TierGuard guard;
+  set_gemm_tier(GemmTier::Avx2Fma);
+  // The joint model's three stages (40×40, 16×16, 4×4 outputs), tier-1
+  // conv0 (17×17: the last row and column are never pooled), an 18×17
+  // output whose rows end in a masked chunk and whose tail pixels sit in
+  // pooled windows, and a narrow 7×5 one. In each, the last tap of the
+  // last conv output reads the image's last float.
+  const PoolConvCase shapes[] = {{1, 40, 40, 10, 2},  {10, 16, 16, 20, 2},
+                                 {20, 4, 4, 30, 2},   {1, 17, 17, 8, 2},
+                                 {3, 18, 17, 13, 2},  {3, 7, 5, 13, 1}};
+  for (const PoolConvCase& s : shapes) {
+    const PoolConvOperands in(s, 1);
+    const std::int64_t chw = s.cin * s.h() * s.w();
+    GuardedBuffer buf(static_cast<std::size_t>(chw) * sizeof(float));
+    ASSERT_TRUE(buf.ok());
+    float* img = buf.tail<float>(chw);
+    std::copy(in.x.data(), in.x.data() + chw, img);
+    EXPECT_TRUE(same_bits(pooled_conv(s, in, img),
+                          conv_then_pool(s, in, in.x.data())))
+        << "cin=" << s.cin << " oh=" << s.oh << " ow=" << s.ow;
+  }
+}
+
 // ---- int8 conv serving entry ----
 //
 // Conv2d::infer_quantized must produce exactly the bits of quantize_into +

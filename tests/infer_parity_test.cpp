@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <new>
 #include <span>
@@ -282,6 +283,53 @@ TEST(InferParity, PreluFusesIntoUnfoldedAndPointwiseConvs) {
   EXPECT_TRUE(fused.run(x).equals(unfused.run(x)));
 }
 
+// Every conv step followed by MaxPool2d(2) computes the pool itself in
+// run(); the pool step stays in the plan, absorbed. calibrate() runs each
+// step unfused, so its output is the reference: the same bits for the
+// folded plan, for an unfolded one (BN and PReLU steps sit between conv
+// and pool, so nothing fuses), and when the absorbed pool is the plan's
+// last step (the conv then writes straight into `out`).
+TEST(InferParity, PoolFusedRunMatchesUnfusedCalibrateBitwise) {
+  Rng rng(25);
+  BandCnn cnn(small_cnn_config(), rng);
+  warm_running_stats(cnn, rng);
+  const Tensor x =
+      Tensor::rand_uniform({5, 2, kStamp, kStamp}, rng, -50.0f, 400.0f);
+  for (const bool fold : {true, false}) {
+    SessionOptions opts;
+    opts.fold_batchnorm = fold;
+    opts.fuse_prelu = fold;
+    infer::InferenceSession session = make_session(cnn, opts);
+    EXPECT_EQ(session.plan().num_fused_pool(), fold ? 3u : 0u);
+    EXPECT_EQ(session.plan().num_steps(), fold ? 13u : 19u);
+    const Tensor got = session.run(x);
+    infer::CalibrationTable table;
+    Tensor want;
+    session.calibrate(x, want, table);
+    ASSERT_EQ(got.shape(), want.shape());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          sizeof(float) * static_cast<std::size_t>(got.size())),
+              0)
+        << "fold=" << fold;
+  }
+
+  nn::Sequential tail;
+  tail.emplace<nn::Conv2d>(2, 6, 3, rng);
+  tail.emplace<nn::PReLU>(6, -0.5f);
+  tail.emplace<nn::MaxPool2d>(2);
+  infer::InferenceSession session(tail, {2, 11, 12});
+  EXPECT_EQ(session.plan().num_steps(), 2u);
+  EXPECT_EQ(session.plan().num_fused_pool(), 1u);
+  const Tensor small = Tensor::randn({3, 2, 11, 12}, rng);
+  Tensor got;
+  session.run(small, got);
+  infer::CalibrationTable table;
+  Tensor want;
+  session.calibrate(small, want, table);
+  EXPECT_EQ(got.shape(), (Shape{3, 6, 4, 5}));
+  EXPECT_TRUE(got.equals(want));
+}
+
 TEST(InferParity, PlanValidatesShapesAtPlanTime) {
   Rng rng(21);
   // Layer-level: infer_shape mirrors the execution-path validation instead
@@ -351,6 +399,14 @@ TEST(Int8Parity, QuantizedSessionTracksFp32WithinTolerance) {
   EXPECT_GT(ref_max, 0.0f);
   EXPECT_LT(max_abs, 0.05f * ref_max)
       << "max|Δ|=" << max_abs << " vs max|ref|=" << ref_max;
+}
+
+TEST(Int8Parity, QuantizedConvStepsRunUnpooled) {
+  QuantFixture fx(26);
+  infer::InferenceSession int8 = fx.int8_session();
+  EXPECT_EQ(int8.plan().num_int8_steps(), 3u);
+  EXPECT_EQ(int8.plan().num_fused_pool(), 0u);
+  EXPECT_EQ(int8.plan().num_steps(), 13u);
 }
 
 TEST(Int8Parity, QuantizedSessionIsBitwiseInvariant) {
