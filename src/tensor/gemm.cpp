@@ -389,55 +389,93 @@ __attribute__((target("avx512f"))) void gemm_block_avx512(
 }
 
 // Direct stride-1, unpadded convolution on AVX-512F: im2col's column
-// matrix is never built. Output pixel q = oy·out_w + ox reads tap
-// p = (ci, ky, kx) at image offset koff[p] + oy·W + ox, so each lane's
-// offset is fixed for the whole k loop and the B vector for tap p is the
-// image at koff[p] plus those offsets.
-enum class ConvLoad {
-  Contiguous,  ///< the lanes are one run of an output row: a masked load
-  RowBreak,    ///< an output row ends inside the vector (out_w ≥ 16, so
-               ///< at most once): two masked loads, merged
-  Gather,      ///< out_w < 16: the vector spans several rows
+// matrix is never built. Output pixel (oy, ox) reads tap p = (ci, ky, kx)
+// at image offset koff[p] + oy·W + ox, so each lane's offset is fixed for
+// the whole k loop and the B vector for tap p is the image at koff[p]
+// plus those offsets.
+//
+// A strip is up to two 16-lane vectors of outputs. Wide planes
+// (out_w ≥ 16) run strips of two output rows × 16 columns, each vector
+// one masked contiguous load per tap (a row's last chunk masked), or one
+// row when an odd out_h leaves it alone. Narrow planes run one vector per
+// strip whose 16 lanes span several rows: each tap's lanes are gathered
+// once per strip into a per-thread slab (k × 16), which every row group
+// then reads with plain loads.
+//
+// Pooled strips fold each 2×2 window of the finished outputs in registers
+// and store only the pooled values. The fold is maxpool_2x2's rule (see
+// tensor/pool.h) lane by lane, in its order: top-left, top-right,
+// bottom-left, bottom-right. A wide pooled strip is rows 2py and 2py + 1
+// of 16 columns: the even lanes of each row are window top-lefts /
+// bottom-lefts and the odd lanes the right corners, giving 8 pooled
+// outputs. A narrow pooled strip orders its lanes by corner: lanes 0–3
+// are the top-lefts of four windows, 4–7 their top-rights, 8–11 the
+// bottom-lefts, 12–15 the bottom-rights.
+enum class ConvStore {
+  Plain,        ///< each vector's lanes to their output pixels
+  PoolRows,     ///< wide: the two row vectors → 8 pooled outputs
+  PoolCorners,  ///< narrow: the corner-ordered vector → 4 pooled outputs
 };
 
-// One 16-lane vector of output pixels.
-struct ConvLanes {
-  std::int64_t off0 = 0;  ///< image offset of lane 0 (Contiguous, RowBreak)
-  std::int64_t off1 = 0;  ///< where lane 0 would read in the next output row
-  std::uint16_t mask0 = 0;  ///< lanes read at off0 (all lanes, for Gather)
-  std::uint16_t mask1 = 0;  ///< lanes read at off1, after the row break
-  alignas(64) std::int32_t index[16] = {};  ///< Gather: per-lane offsets
+struct ConvStrip {
+  std::int64_t src[2] = {};   ///< image offset of lane 0 (wide strips)
+  std::int64_t dst[2] = {};   ///< out offset of lane 0, or of the first
+                              ///< pooled output (vector 0)
+  std::uint16_t mask[2] = {};  ///< live lanes: loads and plain stores
+  std::uint16_t pooled = 0;    ///< live pooled outputs (pooled stores)
+  const float* slab = nullptr;  ///< narrow strips: tap p at slab + 16·p
 };
 
-template <ConvLoad L>
-__attribute__((target("avx512f"))) inline __m512 conv_load_avx512(
-    const float* tap, const ConvLanes& lanes, __m512i index) {
-  if constexpr (L == ConvLoad::Contiguous) {
-    return _mm512_maskz_loadu_ps(lanes.mask0, tap + lanes.off0);
-  } else if constexpr (L == ConvLoad::RowBreak) {
-    // off1 ≥ W − 15 > 0 whenever mask1 is set, so both bases lie inside
-    // the image; masked-off lanes are never read.
-    return _mm512_mask_loadu_ps(_mm512_maskz_loadu_ps(lanes.mask0,
-                                                      tap + lanes.off0),
-                                lanes.mask1, tap + lanes.off1);
-  } else {
-    return _mm512_mask_i32gather_ps(_mm512_setzero_ps(), lanes.mask0, index,
-                                    tap, 4);
-  }
+// GCC 12's AVX-512 intrinsics pass _mm512_undefined_*() as the merge
+// operand of their unmasked forms (max_ps, permutexvar_ps), which
+// -Wuninitialized reports once inlined; under a full mask that operand is
+// never read.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+// One step of the pool rule, per lane: take v when v > best (max_ps(v,
+// best) returns best on a NaN or a tie, so ±0 ties keep best), or when
+// best is NaN and v is not.
+__attribute__((target("avx512f"))) inline __m512 pool_fold_avx512(
+    __m512 best, __m512 v) {
+  const __mmask16 take = _mm512_mask_cmp_ps_mask(
+      _mm512_cmp_ps_mask(best, best, _CMP_UNORD_Q), v, v, _CMP_ORD_Q);
+  return _mm512_mask_mov_ps(_mm512_max_ps(v, best), take, v);
 }
 
-// R output channels × V·16 output pixels, the whole k reduction in
-// registers: each output is one FMA chain over k ascending from +0 (what
-// sgemm_serial at beta 0 computes in its vector columns), then the bias
-// add and the PReLU select of apply_epilogue, then a masked store.
-template <int R, int V, ConvLoad L>
+// The 8 pooled outputs (lanes 0–7) of rows `top` and `bottom`.
+__attribute__((target("avx512f"))) inline __m512 pool_rows_avx512(
+    __m512 top, __m512 bottom) {
+  const __m512i even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 0, 2, 4,
+                                         6, 8, 10, 12, 14);
+  const __m512i odd = _mm512_setr_epi32(1, 3, 5, 7, 9, 11, 13, 15, 1, 3, 5,
+                                        7, 9, 11, 13, 15);
+  __m512 best = _mm512_permutexvar_ps(even, top);
+  best = pool_fold_avx512(best, _mm512_permutexvar_ps(odd, top));
+  best = pool_fold_avx512(best, _mm512_permutexvar_ps(even, bottom));
+  return pool_fold_avx512(best, _mm512_permutexvar_ps(odd, bottom));
+}
+
+// The 4 pooled outputs (lanes 0–3) of a corner-ordered vector.
+__attribute__((target("avx512f"))) inline __m512 pool_corners_avx512(
+    __m512 v) {
+  __m512 best = v;
+  best = pool_fold_avx512(best, _mm512_shuffle_f32x4(v, v, 0x55));
+  best = pool_fold_avx512(best, _mm512_shuffle_f32x4(v, v, 0xAA));
+  return pool_fold_avx512(best, _mm512_shuffle_f32x4(v, v, 0xFF));
+}
+
+// R output channels × one strip, the whole k reduction in registers: each
+// output is one FMA chain over k ascending from +0 (what sgemm_serial at
+// beta 0 computes in its vector columns), then the bias add and the PReLU
+// select of apply_epilogue, then the store (pooled or not). kSlab strips
+// read their taps from the slab, the others from the image.
+template <int R, int V, bool kSlab, ConvStore S>
 __attribute__((target("avx512f"))) void conv_tile_avx512(
     std::int64_t k, const std::int64_t* koff, const float* image,
-    const ConvLanes* lanes, const float* w, const float* bias,
+    const ConvStrip& s, const float* w, const float* bias,
     const float* prelu, float* out, std::int64_t ldo) {
-  __m512i index[V];
-#pragma GCC unroll 2
-  for (int v = 0; v < V; ++v) index[v] = _mm512_load_si512(lanes[v].index);
   __m512 acc[R][V];
 #pragma GCC unroll 12
   for (int r = 0; r < R; ++r) {
@@ -445,11 +483,14 @@ __attribute__((target("avx512f"))) void conv_tile_avx512(
     for (int v = 0; v < V; ++v) acc[r][v] = _mm512_setzero_ps();
   }
   for (std::int64_t p = 0; p < k; ++p) {
-    const float* tap = image + koff[p];
     __m512 bv[V];
 #pragma GCC unroll 2
     for (int v = 0; v < V; ++v) {
-      bv[v] = conv_load_avx512<L>(tap, lanes[v], index[v]);
+      if constexpr (kSlab) {
+        bv[v] = _mm512_loadu_ps(s.slab + 16 * p);
+      } else {
+        bv[v] = _mm512_maskz_loadu_ps(s.mask[v], image + koff[p] + s.src[v]);
+      }
     }
 #pragma GCC unroll 12
     for (int r = 0; r < R; ++r) {
@@ -472,121 +513,157 @@ __attribute__((target("avx512f"))) void conv_tile_avx512(
         y = _mm512_mask_blend_ps(
             pos, _mm512_mul_ps(_mm512_set1_ps(prelu[r]), y), y);
       }
-      _mm512_mask_storeu_ps(out + r * ldo + 16 * v,
-                            lanes[v].mask0 | lanes[v].mask1, y);
+      acc[r][v] = y;
     }
-  }
-}
-
-template <int V, ConvLoad L>
-__attribute__((target("avx512f"))) void conv_rows_avx512(
-    std::int64_t rows, std::int64_t k, const std::int64_t* koff,
-    const float* image, const ConvLanes* lanes, const float* w,
-    const float* bias, const float* prelu, float* out, std::int64_t ldo) {
-#define SNE_CONV_TILE(R)                                                   \
-  case R:                                                                  \
-    conv_tile_avx512<R, V, L>(k, koff, image, lanes, w, bias, prelu, out, \
-                              ldo);                                        \
-    break;
-  switch (rows) {
-    SNE_CONV_TILE(1) SNE_CONV_TILE(2) SNE_CONV_TILE(3) SNE_CONV_TILE(4)
-    SNE_CONV_TILE(5) SNE_CONV_TILE(6) SNE_CONV_TILE(7) SNE_CONV_TILE(8)
-    SNE_CONV_TILE(9) SNE_CONV_TILE(10) SNE_CONV_TILE(11)
-    default: conv_tile_avx512<12, V, L>(k, koff, image, lanes, w, bias, prelu,
-                                        out, ldo);
-  }
-#undef SNE_CONV_TILE
-}
-
-// The lanes of the 16 output pixels starting at q (of n = out_h·out_w).
-// Lanes at or past n are masked off everywhere, so they read and store
-// nothing.
-ConvLoad plan_conv_lanes(std::int64_t q, std::int64_t n, std::int64_t width,
-                         std::int64_t out_w, ConvLanes& lanes) {
-  const std::int64_t valid = std::min<std::int64_t>(16, n - q);
-  const auto low_bits = [](std::int64_t count) {
-    return static_cast<std::uint16_t>((1u << count) - 1u);
-  };
-  if (out_w < 16) {
-    for (std::int64_t l = 0; l < valid; ++l) {
-      lanes.index[l] = static_cast<std::int32_t>((q + l) / out_w * width +
-                                                 (q + l) % out_w);
-    }
-    lanes.mask0 = low_bits(valid);
-    return ConvLoad::Gather;
-  }
-  const std::int64_t oy = q / out_w;
-  const std::int64_t ox = q % out_w;
-  const std::int64_t first = std::min(valid, out_w - ox);
-  lanes.off0 = oy * width + ox;
-  lanes.mask0 = low_bits(first);
-  if (first == valid) {
-    lanes.off1 = lanes.off0;
-    return ConvLoad::Contiguous;
-  }
-  lanes.off1 = (oy + 1) * width - first;
-  lanes.mask1 = static_cast<std::uint16_t>(low_bits(valid) & ~lanes.mask0);
-  return ConvLoad::RowBreak;
-}
-
-template <int V>
-__attribute__((target("avx512f"))) void conv_strip_avx512(
-    ConvLoad load, std::int64_t rows, std::int64_t k,
-    const std::int64_t* koff, const float* image, const ConvLanes* lanes,
-    const float* w, const float* bias, const float* prelu, float* out,
-    std::int64_t ldo) {
-  switch (load) {
-    case ConvLoad::Contiguous:
-      conv_rows_avx512<V, ConvLoad::Contiguous>(rows, k, koff, image, lanes,
-                                                w, bias, prelu, out, ldo);
-      break;
-    case ConvLoad::RowBreak:
-      conv_rows_avx512<V, ConvLoad::RowBreak>(rows, k, koff, image, lanes, w,
-                                              bias, prelu, out, ldo);
-      break;
-    case ConvLoad::Gather:
-      conv_rows_avx512<V, ConvLoad::Gather>(rows, k, koff, image, lanes, w,
-                                            bias, prelu, out, ldo);
-      break;
-  }
-}
-
-// One image: the first n output pixels of out[m × ldo] =
-// epilogue(w[m × k] · columns), the columns read in place through koff.
-// Output channels go in the near-equal groups of at most 12 rows of
-// gemm_block_avx512, against 32-pixel strips (16 for the last one when at
-// most 16 pixels are left).
-void conv_image_avx512(std::int64_t m, std::int64_t k,
-                       const std::int64_t* koff, const float* image,
-                       std::int64_t width, std::int64_t out_w, std::int64_t n,
-                       std::int64_t ldo, const float* w,
-                       const GemmEpilogue& ep, float* out) {
-  const std::int64_t groups = (m + kAvx512MaxRows - 1) / kAvx512MaxRows;
-  for (std::int64_t q = 0; q < n; q += 32) {
-    ConvLanes lanes[2];
-    ConvLoad load = plan_conv_lanes(q, n, width, out_w, lanes[0]);
-    const bool wide = n - q > 16;
-    if (wide && plan_conv_lanes(q + 16, n, width, out_w, lanes[1]) ==
-                    ConvLoad::RowBreak) {
-      // Both vectors load as RowBreak; a Contiguous one has an empty mask1.
-      load = ConvLoad::RowBreak;
-    }
-    std::int64_t i = 0;
-    for (std::int64_t g = 0; g < groups; ++g) {
-      const std::int64_t rows = (m - i) / (groups - g);
-      const float* bias = ep.bias != nullptr ? ep.bias + i : nullptr;
-      const float* prelu = ep.prelu != nullptr ? ep.prelu + i : nullptr;
-      if (wide) {
-        conv_strip_avx512<2>(load, rows, k, koff, image, lanes, w + i * k,
-                             bias, prelu, out + i * ldo + q, ldo);
-      } else {
-        conv_strip_avx512<1>(load, rows, k, koff, image, lanes, w + i * k,
-                             bias, prelu, out + i * ldo + q, ldo);
+    float* row = out + r * ldo;
+    if constexpr (S == ConvStore::Plain) {
+#pragma GCC unroll 2
+      for (int v = 0; v < V; ++v) {
+        _mm512_mask_storeu_ps(row + s.dst[v], s.mask[v], acc[r][v]);
       }
-      i += rows;
+    } else if constexpr (S == ConvStore::PoolRows) {
+      _mm512_mask_storeu_ps(row + s.dst[0], s.pooled,
+                            pool_rows_avx512(acc[r][0], acc[r][V - 1]));
+    } else {
+      _mm512_mask_storeu_ps(row + s.dst[0], s.pooled,
+                            pool_corners_avx512(acc[r][0]));
     }
   }
 }
+
+// One strip over the m output channels, in the near-equal groups of at
+// most 12 rows of gemm_block_avx512.
+template <int V, bool kSlab, ConvStore S>
+__attribute__((target("avx512f"))) void conv_strip_avx512(
+    std::int64_t m, std::int64_t k, const std::int64_t* koff,
+    const float* image, const ConvStrip& s, const float* w,
+    const GemmEpilogue& ep, float* out, std::int64_t ldo) {
+  const std::int64_t groups = (m + kAvx512MaxRows - 1) / kAvx512MaxRows;
+  std::int64_t i = 0;
+  for (std::int64_t g = 0; g < groups; ++g) {
+    const std::int64_t rows = (m - i) / (groups - g);
+    const float* wi = w + i * k;
+    const float* bias = ep.bias != nullptr ? ep.bias + i : nullptr;
+    const float* prelu = ep.prelu != nullptr ? ep.prelu + i : nullptr;
+    float* oi = out + i * ldo;
+#define SNE_CONV_TILE(R)                                                     \
+  case R:                                                                    \
+    conv_tile_avx512<R, V, kSlab, S>(k, koff, image, s, wi, bias, prelu, oi, \
+                                     ldo);                                   \
+    break;
+    switch (rows) {
+      SNE_CONV_TILE(1) SNE_CONV_TILE(2) SNE_CONV_TILE(3) SNE_CONV_TILE(4)
+      SNE_CONV_TILE(5) SNE_CONV_TILE(6) SNE_CONV_TILE(7) SNE_CONV_TILE(8)
+      SNE_CONV_TILE(9) SNE_CONV_TILE(10) SNE_CONV_TILE(11)
+      default:
+        conv_tile_avx512<12, V, kSlab, S>(k, koff, image, s, wi, bias, prelu,
+                                          oi, ldo);
+    }
+#undef SNE_CONV_TILE
+    i += rows;
+  }
+}
+
+std::uint16_t low_lanes(std::int64_t count) {
+  return static_cast<std::uint16_t>((1u << count) - 1u);
+}
+
+// One image of out[m × ldo] = epilogue(w[m × k] · columns), the columns
+// read in place through koff; with `pool`, the 2×2/stride-2 max-pool of
+// that output instead (⌊out_h/2⌋ × ⌊out_w/2⌋ per channel, ldo apart).
+// Wide planes run row-pair strips of 16 columns, strips outermost so each
+// one's image rows stay in L1 while the row groups stream the weights.
+// Narrow planes gather each strip's taps into the slab first. Gather
+// offsets are int32 (the caller keeps the image within range).
+__attribute__((target("avx512f"))) void conv_image_avx512(
+    std::int64_t m, std::int64_t k, const std::int64_t* koff,
+    const float* image, std::int64_t width, std::int64_t out_h,
+    std::int64_t out_w, bool pool, std::int64_t ldo, const float* w,
+    const GemmEpilogue& ep, float* out) {
+  const std::int64_t ph = out_h / 2;
+  const std::int64_t pw = out_w / 2;
+  ConvStrip s;
+  if (out_w >= 16) {
+    if (pool) {
+      for (std::int64_t py = 0; py < ph; ++py) {
+        for (std::int64_t x = 0; x < 2 * pw; x += 16) {
+          const std::int64_t cols = std::min<std::int64_t>(16, 2 * pw - x);
+          s.src[0] = 2 * py * width + x;
+          s.src[1] = s.src[0] + width;
+          s.mask[0] = s.mask[1] = low_lanes(cols);
+          s.dst[0] = py * pw + x / 2;
+          s.pooled = low_lanes(cols / 2);
+          conv_strip_avx512<2, false, ConvStore::PoolRows>(
+              m, k, koff, image, s, w, ep, out, ldo);
+        }
+      }
+      return;
+    }
+    for (std::int64_t y = 0; y < out_h; y += 2) {
+      for (std::int64_t x = 0; x < out_w; x += 16) {
+        const std::int64_t cols = std::min<std::int64_t>(16, out_w - x);
+        s.src[0] = y * width + x;
+        s.src[1] = s.src[0] + width;
+        s.dst[0] = y * out_w + x;
+        s.dst[1] = s.dst[0] + out_w;
+        s.mask[0] = s.mask[1] = low_lanes(cols);
+        if (y + 1 < out_h) {
+          conv_strip_avx512<2, false, ConvStore::Plain>(m, k, koff, image, s,
+                                                        w, ep, out, ldo);
+        } else {
+          conv_strip_avx512<1, false, ConvStore::Plain>(m, k, koff, image, s,
+                                                        w, ep, out, ldo);
+        }
+      }
+    }
+    return;
+  }
+  // Narrow: strip j covers outputs 16j… (plain) or windows 4j… (pooled).
+  thread_local std::vector<float> slab;  // grow-only, k × 16
+  slab.resize(static_cast<std::size_t>(16 * k));
+  s.slab = slab.data();
+  const std::int64_t units = pool ? ph * pw : out_h * out_w;
+  const std::int64_t per_strip = pool ? 4 : 16;
+  for (std::int64_t u = 0; u < units; u += per_strip) {
+    const std::int64_t live = std::min(per_strip, units - u);
+    alignas(64) std::int32_t index[16] = {};
+    std::uint16_t lanes = 0;
+    for (int l = 0; l < 16; ++l) {
+      std::int64_t oy = 0;
+      std::int64_t ox = 0;
+      if (pool) {
+        const std::int64_t win = u + l % 4;
+        if (l % 4 >= live) continue;
+        oy = 2 * (win / pw) + l / 8;
+        ox = 2 * (win % pw) + l / 4 % 2;
+      } else {
+        if (l >= live) continue;
+        oy = (u + l) / out_w;
+        ox = (u + l) % out_w;
+      }
+      index[l] = static_cast<std::int32_t>(oy * width + ox);
+      lanes = static_cast<std::uint16_t>(lanes | (1u << l));
+    }
+    const __m512i idx = _mm512_load_si512(index);
+    for (std::int64_t p = 0; p < k; ++p) {
+      _mm512_storeu_ps(slab.data() + 16 * p,
+                       _mm512_mask_i32gather_ps(_mm512_setzero_ps(), lanes,
+                                                idx, image + koff[p], 4));
+    }
+    s.dst[0] = u;
+    if (pool) {
+      s.pooled = low_lanes(live);
+      conv_strip_avx512<1, true, ConvStore::PoolCorners>(m, k, koff, image, s,
+                                                         w, ep, out, ldo);
+    } else {
+      s.mask[0] = lanes;
+      conv_strip_avx512<1, true, ConvStore::Plain>(m, k, koff, image, s, w,
+                                                   ep, out, ldo);
+    }
+  }
+}
+
+#pragma GCC diagnostic pop
 
 // The image offset of each tap p = (c, ky, kx) of a stride-1, unpadded
 // conv: row p of its column matrix is the image at koff[p] plus each
@@ -1550,17 +1627,54 @@ void sconv_serial(std::int64_t batch, const float* image,
   const std::int64_t chw = channels * height * width;
   const std::int64_t out_stride = out_channels * n;
 
+  // sgemm_serial's column blocks are 256 wide, so in the im2col lowering
+  // the first n − n % 8 outputs of each row are FMA chains, which the
+  // direct kernel reproduces, and the last n % 8 are scalar-tail columns,
+  // whose bits are whatever the compiler made of gemm_block_avx2's scalar
+  // loops. Those columns are gathered into a k × (n % 8) slab and run
+  // through the same loops: sgemm_serial with the same weight, m and
+  // epilogue walks the same row groups and k blocks. Gather offsets are
+  // int32.
+#if SNE_GEMM_X86
+  static const bool has_avx512f = cpu_has_avx512f();
+  const bool direct = has_avx512f && gemm_tier() == GemmTier::Avx2Fma &&
+                      stride == 1 && pad == 0 && chw <= INT32_MAX;
+#else
+  const bool direct = false;
+#endif
+  const std::int64_t tail = n % 8;
+  const std::int64_t ph = out_h / 2;
+  const std::int64_t pw = out_w / 2;
+
   if (pool_2x2) {
-    // Each image's plain output into a per-thread plane, then the shared
+    // The direct kernel pools in registers unless a pooled window reads a
+    // tail pixel (out_h even and the tail inside the first 2·pw columns,
+    // or narrow rows): those bits only come from the slab. Otherwise each
+    // image's plain output goes into a per-thread plane, then the shared
     // pool: by construction the bits of conv + MaxPool2d.
-    const std::int64_t pooled = out_channels * (out_h / 2) * (out_w / 2);
+    bool reads_tail = false;
+    for (std::int64_t q = n - tail; q < n; ++q) {
+      reads_tail |= q / out_w < 2 * ph && q % out_w < 2 * pw;
+    }
+#if SNE_GEMM_X86
+    if (direct && !reads_tail) {
+      const std::int64_t* koff = conv_tap_offsets(channels, height, width,
+                                                  kernel);
+      for (std::int64_t i = 0; i < batch; ++i) {
+        conv_image_avx512(out_channels, k, koff, image + i * chw, width, out_h,
+                          out_w, true, ph * pw, weight, epilogue,
+                          out + i * out_channels * ph * pw);
+      }
+      return;
+    }
+#endif
     thread_local std::vector<float> plane;  // grow-only
     plane.resize(static_cast<std::size_t>(out_stride));
     for (std::int64_t i = 0; i < batch; ++i) {
       sconv_serial(1, image + i * chw, channels, height, width, kernel, pad,
                    stride, weight, out_channels, plane.data(), epilogue);
       maxpool_2x2(plane.data(), out_channels, out_h, out_w,
-                  out + i * pooled);
+                  out + i * out_channels * ph * pw);
     }
     return;
   }
@@ -1574,21 +1688,9 @@ void sconv_serial(std::int64_t batch, const float* image,
   }
 
 #if SNE_GEMM_X86
-  // sgemm_serial's column blocks are 256 wide, so in the im2col lowering
-  // the first n − n % 8 outputs of each row are FMA chains, which the
-  // direct kernel reproduces, and the last n % 8 are scalar-tail columns,
-  // whose bits are whatever the compiler made of gemm_block_avx2's scalar
-  // loops. Those columns are gathered into a k × (n % 8) slab and run
-  // through the same loops: sgemm_serial with the same weight, m and
-  // epilogue walks the same row groups and k blocks. Gather offsets are
-  // int32.
-  static const bool has_avx512f = cpu_has_avx512f();
-  if (has_avx512f && gemm_tier() == GemmTier::Avx2Fma && stride == 1 &&
-      pad == 0 && chw <= INT32_MAX) {
+  if (direct) {
     const std::int64_t* koff = conv_tap_offsets(channels, height, width,
                                                 kernel);
-    const std::int64_t direct = n / 8 * 8;
-    const std::int64_t tail = n - direct;
     // Grow-only: the tail's columns, then its m × tail outputs.
     thread_local std::vector<float> slab;
     slab.resize(static_cast<std::size_t>((k + out_channels) * tail));
@@ -1597,11 +1699,11 @@ void sconv_serial(std::int64_t batch, const float* image,
     for (std::int64_t i = 0; i < batch; ++i) {
       const float* img = image + i * chw;
       float* dst = out + i * out_stride;
-      conv_image_avx512(out_channels, k, koff, img, width, out_w, direct, n,
-                        weight, epilogue, dst);
+      conv_image_avx512(out_channels, k, koff, img, width, out_h, out_w, false,
+                        n, weight, epilogue, dst);
       if (tail == 0) continue;
       for (std::int64_t l = 0; l < tail; ++l) {
-        const std::int64_t q = direct + l;
+        const std::int64_t q = n - tail + l;
         const float* at = img + q / out_w * width + q % out_w;
         for (std::int64_t p = 0; p < k; ++p) {
           tail_cols[p * tail + l] = at[koff[p]];
@@ -1611,7 +1713,7 @@ void sconv_serial(std::int64_t batch, const float* image,
                    tail_out, epilogue);
       for (std::int64_t r = 0; r < out_channels; ++r) {
         std::copy(tail_out + r * tail, tail_out + (r + 1) * tail,
-                  dst + r * n + direct);
+                  dst + r * n + n - tail);
       }
     }
     return;
