@@ -50,13 +50,12 @@ void inject_artifact(Tensor& stamp, ArtifactKind kind, double amplitude,
       const GaussianPsf psf(rng.uniform(2.5, 4.5));
       const double shift = rng.uniform(0.8, 1.8);
       const double angle = rng.uniform(0.0, 2.0 * std::numbers::pi);
-      const Tensor pos = psf.render_point_source(
-          h, w, cy, cx, amplitude * rng.uniform(1.0, 2.0));
-      const Tensor neg = psf.render_point_source(
-          h, w, cy + shift * std::sin(angle), cx + shift * std::cos(angle),
-          amplitude * rng.uniform(1.0, 2.0));
-      stamp += pos;
-      stamp -= neg;
+      // Each pixel becomes (s + pos) − neg, computed only in each lobe's
+      // box (see GaussianPsf::add_point_source).
+      psf.add_point_source(stamp, cy, cx, amplitude * rng.uniform(1.0, 2.0));
+      psf.add_point_source(stamp, cy + shift * std::sin(angle),
+                           cx + shift * std::cos(angle),
+                           amplitude * rng.uniform(1.0, 2.0), true);
       break;
     }
     case ArtifactKind::HotPixel: {

@@ -14,18 +14,19 @@ GaussianPsf::GaussianPsf(double fwhm_pixels)
   }
 }
 
-Tensor GaussianPsf::render_point_source(std::int64_t height,
-                                        std::int64_t width, double cy,
-                                        double cx, double flux) const {
-  if (height <= 0 || width <= 0) {
-    throw std::invalid_argument("render_point_source: bad stamp extents");
-  }
-  Tensor stamp({height, width});
-  const double inv = 1.0 / (std::sqrt(2.0) * sigma_);
-  // Per-pixel integral of the 2-d Gaussian factorizes into erf differences:
-  // a row factor fy times a column factor fx, each evaluated once per row or
-  // column of the box. Only a ±5σ box contributes above float precision.
-  const double reach = 5.0 * sigma_ + 1.0;
+namespace {
+
+// Calls put(y·width + x, value) for every pixel of the ±5σ box of a point
+// source at (cy, cx), value = float(flux · fy · fx). Only that box
+// contributes above float precision; the rest of a rendered stamp is +0.
+// The per-pixel integral of the 2-d Gaussian factorizes into erf
+// differences: a row factor fy times a column factor fx, each evaluated
+// once per row or column of the box.
+template <typename Put>
+void walk_point_source(double sigma, std::int64_t height, std::int64_t width,
+                       double cy, double cx, double flux, Put put) {
+  const double inv = 1.0 / (std::sqrt(2.0) * sigma);
+  const double reach = 5.0 * sigma + 1.0;
   const auto y_lo = std::max<std::int64_t>(
       0, static_cast<std::int64_t>(std::floor(cy - reach)));
   const auto y_hi = std::min<std::int64_t>(
@@ -34,9 +35,10 @@ Tensor GaussianPsf::render_point_source(std::int64_t height,
       0, static_cast<std::int64_t>(std::floor(cx - reach)));
   const auto x_hi = std::min<std::int64_t>(
       width - 1, static_cast<std::int64_t>(std::ceil(cx + reach)));
-  if (y_lo > y_hi || x_lo > x_hi) return stamp;
+  if (y_lo > y_hi || x_lo > x_hi) return;
 
-  std::vector<double> fx(static_cast<std::size_t>(x_hi - x_lo + 1));
+  thread_local std::vector<double> fx;  // grow-only
+  fx.resize(static_cast<std::size_t>(x_hi - x_lo + 1));
   for (std::int64_t x = x_lo; x <= x_hi; ++x) {
     fx[static_cast<std::size_t>(x - x_lo)] =
         0.5 * (std::erf((x + 0.5 - cx) * inv) -
@@ -45,13 +47,41 @@ Tensor GaussianPsf::render_point_source(std::int64_t height,
   for (std::int64_t y = y_lo; y <= y_hi; ++y) {
     const double fy = 0.5 * (std::erf((y + 0.5 - cy) * inv) -
                              std::erf((y - 0.5 - cy) * inv));
-    float* row = stamp.data() + y * width;
     for (std::int64_t x = x_lo; x <= x_hi; ++x) {
-      row[x] = static_cast<float>(
-          flux * fy * fx[static_cast<std::size_t>(x - x_lo)]);
+      put(y * width + x, static_cast<float>(
+                             flux * fy * fx[static_cast<std::size_t>(x - x_lo)]));
     }
   }
+}
+
+}  // namespace
+
+Tensor GaussianPsf::render_point_source(std::int64_t height,
+                                        std::int64_t width, double cy,
+                                        double cx, double flux) const {
+  if (height <= 0 || width <= 0) {
+    throw std::invalid_argument("render_point_source: bad stamp extents");
+  }
+  Tensor stamp({height, width});
+  walk_point_source(sigma_, height, width, cy, cx, flux,
+                    [&stamp](std::int64_t i, float v) { stamp[i] = v; });
   return stamp;
+}
+
+void GaussianPsf::add_point_source(Tensor& stamp, double cy, double cx,
+                                   double flux, bool subtract) const {
+  if (stamp.rank() != 2) {
+    throw std::invalid_argument("add_point_source: expected rank-2 stamp");
+  }
+  float* s = stamp.data();
+  if (subtract) {
+    walk_point_source(sigma_, stamp.extent(0), stamp.extent(1), cy, cx, flux,
+                      [s](std::int64_t i, float v) { s[i] -= v; });
+    return;
+  }
+  for (std::int64_t i = 0; i < stamp.size(); ++i) s[i] += 0.0f;
+  walk_point_source(sigma_, stamp.extent(0), stamp.extent(1), cy, cx, flux,
+                    [s](std::int64_t i, float v) { s[i] += v; });
 }
 
 MoffatPsf::MoffatPsf(double fwhm_pixels, double beta)

@@ -24,6 +24,14 @@ class GaussianPsf {
   Tensor render_point_source(std::int64_t height, std::int64_t width,
                              double cy, double cx, double flux) const;
 
+  /// `stamp += render_point_source(...)` (or `-=` when `subtract`) for a
+  /// rank-2 stamp, bit for bit, without rendering a whole stamp: only the
+  /// source's ±5σ box is computed. Outside it the rendered stamp is +0;
+  /// s − (+0) is s, so a subtraction touches only the box, but s + (+0)
+  /// turns a −0 into +0, so an addition still adds +0 everywhere else.
+  void add_point_source(Tensor& stamp, double cy, double cx, double flux,
+                        bool subtract = false) const;
+
   /// Quadrature "seeing match": the Gaussian blur sigma that degrades this
   /// PSF to `target` (which must be broader). Used by difference imaging.
   double matching_sigma(const GaussianPsf& target) const;

@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
+#include <numbers>
 #include <utility>
 
 #include "astro/photometry.h"
@@ -660,6 +662,55 @@ TEST(Artifacts, DipoleRoughlyFluxNeutral) {
   EXPECT_LT(std::abs(stamp.sum()), 0.8f * 200.0f);
   EXPECT_GT(stamp.max(), 0.0f);
   EXPECT_LT(stamp.min(), 0.0f);
+}
+
+// The dipole adds its positive lobe and subtracts its negative one only
+// inside each lobe's ±5σ box. It must give the bits of the whole-stamp
+// form it replaced, `stamp += pos; stamp -= neg` with both lobes rendered
+// in full, on stamps holding −0 and +0 (inside and outside the boxes),
+// NaNs and ordinary values, at several sizes, centres and seeds.
+TEST(Artifacts, DipoleMatchesWholeStampAddAndSubtract) {
+  for (const std::int64_t size : {21, 44, 65}) {
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      Rng fill(seed * 977 + static_cast<std::uint64_t>(size));
+      Tensor stamp({size, size});
+      for (std::int64_t i = 0; i < stamp.size(); ++i) {
+        const double r = fill.uniform(0.0, 1.0);
+        stamp[i] = r < 0.3    ? -0.0f
+                   : r < 0.4  ? 0.0f
+                   : r < 0.42 ? std::numeric_limits<float>::quiet_NaN()
+                              : static_cast<float>(fill.normal(0.0, 30.0));
+      }
+      const double amplitude = 50.0 + 10.0 * static_cast<double>(seed);
+      Tensor want = stamp;
+      Rng rng_want(seed);
+      {
+        // The whole-stamp form, drawing from the generator in the same
+        // order as inject_artifact.
+        const double cy = 0.5 * size + rng_want.uniform(-4.0, 4.0);
+        const double cx = 0.5 * size + rng_want.uniform(-4.0, 4.0);
+        const GaussianPsf psf(rng_want.uniform(2.5, 4.5));
+        const double shift = rng_want.uniform(0.8, 1.8);
+        const double angle = rng_want.uniform(0.0, 2.0 * std::numbers::pi);
+        const Tensor pos = psf.render_point_source(
+            size, size, cy, cx, amplitude * rng_want.uniform(1.0, 2.0));
+        const Tensor neg = psf.render_point_source(
+            size, size, cy + shift * std::sin(angle),
+            cx + shift * std::cos(angle),
+            amplitude * rng_want.uniform(1.0, 2.0));
+        want += pos;
+        want -= neg;
+      }
+      Rng rng_got(seed);
+      inject_artifact(stamp, ArtifactKind::Dipole, amplitude, rng_got);
+      ASSERT_EQ(std::memcmp(stamp.data(), want.data(),
+                            sizeof(float) *
+                                static_cast<std::size_t>(want.size())),
+                0)
+          << "size=" << size << " seed=" << seed;
+      EXPECT_EQ(rng_got.uniform(0.0, 1.0), rng_want.uniform(0.0, 1.0));
+    }
+  }
 }
 
 TEST(Artifacts, CosmicRayIsCompactAndSharp) {
