@@ -436,34 +436,40 @@ struct ConvStrip {
 
 // One step of the pool rule, per lane: take v when v > best (max_ps(v,
 // best) returns best on a NaN or a tie, so ±0 ties keep best), or when
-// best is NaN and v is not.
+// best is NaN and v is not. Without NaNs the step is max_ps(v, best)
+// alone, so the folds below test their inputs once and skip the NaN
+// fix-up when none is present.
 __attribute__((target("avx512f"))) inline __m512 pool_fold_avx512(
-    __m512 best, __m512 v) {
+    __m512 best, __m512 v, bool nans) {
+  if (!nans) return _mm512_max_ps(v, best);
   const __mmask16 take = _mm512_mask_cmp_ps_mask(
       _mm512_cmp_ps_mask(best, best, _CMP_UNORD_Q), v, v, _CMP_ORD_Q);
   return _mm512_mask_mov_ps(_mm512_max_ps(v, best), take, v);
 }
 
-// The 8 pooled outputs (lanes 0–7) of rows `top` and `bottom`.
+// The 8 pooled outputs (lanes 0–7) of rows `top` and `bottom`: each
+// row's even lanes are window left corners, its odd lanes right ones.
 __attribute__((target("avx512f"))) inline __m512 pool_rows_avx512(
     __m512 top, __m512 bottom) {
   const __m512i even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 0, 2, 4,
                                          6, 8, 10, 12, 14);
   const __m512i odd = _mm512_setr_epi32(1, 3, 5, 7, 9, 11, 13, 15, 1, 3, 5,
                                         7, 9, 11, 13, 15);
+  const bool nans = _mm512_cmp_ps_mask(top, bottom, _CMP_UNORD_Q) != 0;
   __m512 best = _mm512_permutexvar_ps(even, top);
-  best = pool_fold_avx512(best, _mm512_permutexvar_ps(odd, top));
-  best = pool_fold_avx512(best, _mm512_permutexvar_ps(even, bottom));
-  return pool_fold_avx512(best, _mm512_permutexvar_ps(odd, bottom));
+  best = pool_fold_avx512(best, _mm512_permutexvar_ps(odd, top), nans);
+  best = pool_fold_avx512(best, _mm512_permutexvar_ps(even, bottom), nans);
+  return pool_fold_avx512(best, _mm512_permutexvar_ps(odd, bottom), nans);
 }
 
 // The 4 pooled outputs (lanes 0–3) of a corner-ordered vector.
 __attribute__((target("avx512f"))) inline __m512 pool_corners_avx512(
     __m512 v) {
+  const bool nans = _mm512_cmp_ps_mask(v, v, _CMP_UNORD_Q) != 0;
   __m512 best = v;
-  best = pool_fold_avx512(best, _mm512_shuffle_f32x4(v, v, 0x55));
-  best = pool_fold_avx512(best, _mm512_shuffle_f32x4(v, v, 0xAA));
-  return pool_fold_avx512(best, _mm512_shuffle_f32x4(v, v, 0xFF));
+  best = pool_fold_avx512(best, _mm512_shuffle_f32x4(v, v, 0x55), nans);
+  best = pool_fold_avx512(best, _mm512_shuffle_f32x4(v, v, 0xAA), nans);
+  return pool_fold_avx512(best, _mm512_shuffle_f32x4(v, v, 0xFF), nans);
 }
 
 // R output channels × one strip, the whole k reduction in registers: each
@@ -509,9 +515,9 @@ __attribute__((target("avx512f"))) void conv_tile_avx512(
       __m512 y = acc[r][v];
       if (bias != nullptr) y = _mm512_add_ps(y, _mm512_set1_ps(bias[r]));
       if (prelu != nullptr) {
-        const __mmask16 pos = _mm512_cmp_ps_mask(y, zero, _CMP_GT_OQ);
-        y = _mm512_mask_blend_ps(
-            pos, _mm512_mul_ps(_mm512_set1_ps(prelu[r]), y), y);
+        // y > 0 ? y : slope·y, the multiply only in the other lanes.
+        y = _mm512_mask_mul_ps(y, _mm512_cmp_ps_mask(y, zero, _CMP_NGT_UQ),
+                               _mm512_set1_ps(prelu[r]), y);
       }
       acc[r][v] = y;
     }
