@@ -220,6 +220,49 @@ void BM_ConvStepShape(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvStepShape)->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1}});
 
+// Each conv step of the same shapes with the 2×2 max-pool after it, over
+// the batch the plans run per call (one joint batch of 32 rows is 160
+// stamps; tier-1 scores 64 alerts at a time): second arg 0 is the plain
+// sconv_serial followed by MaxPool2d::infer_into (the plan before pool
+// fusion, which writes the whole conv plane and reads it back), 1 is
+// sconv_serial's pooled output, which folds each window in registers on
+// AVX-512F hosts at the avx2 tier. Both produce the same bits.
+void BM_ConvPoolStepShape(benchmark::State& state) {
+  const ConvStepShape& s = kConvStepShapes[state.range(0)];
+  const bool fused = state.range(1) != 0;
+  const std::int64_t batch = state.range(0) < 3 ? 160 : 64;
+  constexpr std::int64_t kKernel = 5;
+  const std::int64_t out = s.size - kKernel + 1;
+  const std::int64_t k = s.cin * kKernel * kKernel;
+  Rng rng(1);
+  const Tensor x = Tensor::randn({batch, s.cin, s.size, s.size}, rng);
+  const Tensor w = Tensor::randn({s.cout, k}, rng);
+  const Tensor bias = Tensor::randn({s.cout}, rng);
+  const Tensor slope({s.cout}, 0.25f);
+  const GemmEpilogue ep{bias.data(), slope.data()};
+  const nn::MaxPool2d pool(2);
+  Tensor plain({batch, s.cout, out, out});
+  Tensor pooled({batch, s.cout, out / 2, out / 2});
+  for (auto _ : state) {
+    if (fused) {
+      sconv_serial(batch, x.data(), s.cin, s.size, s.size, kKernel, 0, 1,
+                   w.data(), s.cout, pooled.data(), ep, true);
+    } else {
+      sconv_serial(batch, x.data(), s.cin, s.size, s.size, kKernel, 0, 1,
+                   w.data(), s.cout, plain.data(), ep);
+      pool.infer_into(plain, pooled);
+    }
+    benchmark::DoNotOptimize(pooled.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * batch * 2 * s.cout * out *
+                          out * k);
+  state.SetLabel(std::string(s.name) + " x" + std::to_string(batch) +
+                 (fused ? " pooled sconv_serial" : " conv + MaxPool2d") + " " +
+                 gemm_tier_name(gemm_tier()));
+}
+BENCHMARK(BM_ConvPoolStepShape)->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1}});
+
 // Deterministic int8 operands in [-127, 127], the range quantize_into
 // produces.
 std::vector<std::int8_t> pattern_i8(std::int64_t count, int mul, int add) {
