@@ -113,9 +113,8 @@ InferencePlan::InferencePlan(const nn::Sequential& net,
       step.pool_fused = true;
       ++num_fused_pool_;
     }
-    const bool absorbs = !steps_.empty() && steps_.back().pool_fused &&
-                         dynamic_cast<const nn::MaxPool2d*>(&layer) != nullptr;
-    step.absorbed = absorbs;
+    step.absorbed = !steps_.empty() && steps_.back().pool_fused &&
+                    dynamic_cast<const nn::MaxPool2d*>(&layer) != nullptr;
 
     cur = layer.infer_shape(cur);  // BN/PReLU preserve shape, so this holds
     step.sample_out = cur;

@@ -110,11 +110,11 @@ void Conv2d::infer_with(const Tensor& weight, const Tensor& bias,
   if (out_h <= 0 || out_w <= 0) {
     throw std::invalid_argument("Conv2d::infer_with: kernel larger than input");
   }
-  if (pool_2x2 && (out_h < 2 || out_w < 2)) {
-    throw std::invalid_argument(
-        "Conv2d::infer_with: output smaller than the 2×2 pool window");
-  }
   if (pool_2x2) {
+    if (out_h < 2 || out_w < 2) {
+      throw std::invalid_argument(
+          "Conv2d::infer_with: output smaller than the 2×2 pool window");
+    }
     out.resize({n, out_channels_, out_h / 2, out_w / 2});
   } else {
     out.resize({n, out_channels_, out_h, out_w});
