@@ -115,7 +115,7 @@ class InferencePlan {
     Shape sample_out;  ///< output shape of this step at batch size 1
     bool reshape_only = false;  ///< Flatten: in-place metadata change
     bool folded = false;        ///< run conv with substitute parameters
-    /// Set when folded and/or a PReLU is fused: the step runs through
+    /// Set when folded, PReLU-fused or pool-fused: the step runs through
     /// Conv2d::infer_with instead of the generic infer_into.
     const nn::Conv2d* conv = nullptr;
     Tensor weight;  ///< folded weight [Cout, Cin·k·k] (folded only)

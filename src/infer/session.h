@@ -3,8 +3,11 @@
 // first use), while the immutable InferencePlan it executes is shared.
 // After the first run() with a given batch size, subsequent runs perform
 // zero heap allocations: every buffer is grow-only and every kernel on
-// this path (sgemm_serial, sgemm_bt, the elementwise loops) runs on the
-// calling thread without touching the allocator or the thread pool.
+// this path (sconv_serial, sgemm_serial, sgemm_bt, the elementwise loops)
+// runs on the calling thread without touching the allocator or the
+// thread pool. run() lets each pool-fused conv step write the pooled
+// output and skips the absorbed pool step after it; calibrate() runs
+// every step, so the table it records has one range per plan step.
 //
 // Thread-safety contract: a session is NOT safe for concurrent run()
 // calls, but sessions are cheap and independent — create one per worker

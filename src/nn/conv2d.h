@@ -2,9 +2,12 @@
 // (three 5×5 convolution stages, Fig. 7). Training lowers it to im2col +
 // GEMM, the standard lowering on CPU. Serving (infer_with) calls
 // sconv_serial, which on AVX-512F hosts at the Avx2Fma tier convolves
-// stride-1, unpadded inputs with out_h·out_w % 8 == 0 in place, without
-// the column matrix, and lowers every other case through im2col + GEMM;
-// both produce the same bits (see tensor/gemm.h). Quantized serving
+// stride-1, unpadded inputs in place, without the column matrix, and
+// lowers every other case through im2col + GEMM; both produce the same
+// bits (see tensor/gemm.h). With the pool flag the same call writes the
+// 2×2 max-pool of the output, bitwise equal to a MaxPool2d(2) after it —
+// the inference plan sets it for each conv stage of the band-wise CNN.
+// Quantized serving
 // (infer_quantized) calls iconv_serial, which does the same for int8 on
 // AVX-512 VNNI hosts at every stride-1, unpadded shape.
 #pragma once
@@ -48,13 +51,14 @@ class Conv2d final : public Module {
   /// [Cout, Cin·k·k] and `bias` [Cout], like the layer's own parameters.
   /// When `prelu` is non-null it must be [Cout] per-channel PReLU slopes;
   /// they are applied in the GEMM epilogue, bitwise identical to running a
-  /// separate PReLU pass over the conv output. Runs sconv_serial, whose
-  /// direct kernel (AVX-512F host, Avx2Fma tier, stride 1, no pad,
-  /// out_h·out_w % 8 == 0) reads the input in place. It keeps the bits of
-  /// im2col + sgemm_serial because at those shapes every output of that
-  /// lowering is one FMA chain over k ascending from +0 followed by the
-  /// bias add and PReLU select, and the kernel runs the same sequence.
-  /// Serial and allocation-free after warmup.
+  /// separate PReLU pass over the conv output. With `pool_2x2`, `out`
+  /// becomes [N, Cout, ⌊H'/2⌋, ⌊W'/2⌋], the 2×2/stride-2 max-pool of that
+  /// output, bitwise equal to running MaxPool2d(2)::infer_into after it
+  /// (H', W' ≥ 2). Runs sconv_serial, whose direct kernel (AVX-512F host,
+  /// Avx2Fma tier, stride 1, no pad) reads the input in place and folds
+  /// the pool windows in registers; it keeps the bits of im2col +
+  /// sgemm_serial (see tensor/gemm.h). Serial and allocation-free after
+  /// warmup.
   void infer_with(const Tensor& weight, const Tensor& bias, ConstTensorView x,
                   Tensor& out, const Tensor* prelu = nullptr,
                   bool pool_2x2 = false) const;
