@@ -169,10 +169,11 @@ void BM_SgemmBtShape(benchmark::State& state) {
 }
 BENCHMARK(BM_SgemmBtShape)->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1}});
 
-// The whole fp32 conv step at the same shapes, as the plan runs it per
-// image with the folded bias + PReLU epilogue: second arg 0 is the im2col
-// lowering (im2col, then sgemm_serial), 1 is sconv_serial, which the
-// plan's Conv2d step calls. On an AVX-512F host at the avx2 tier,
+// The whole fp32 conv step at the same shapes, one image with the folded
+// bias + PReLU epilogue and no pool: second arg 0 is the im2col lowering
+// (im2col, then sgemm_serial), 1 is sconv_serial's plain output (what
+// calibrate() runs; the plan's steps pool, see BM_ConvPoolStepShape below).
+// On an AVX-512F host at the avx2 tier,
 // sconv_serial runs its direct kernel on every shape here; tier1_conv0's
 // 289th pixel goes through sgemm_serial's scalar-tail loops on a one-column
 // slab, as in the im2col lowering. Both produce the same bits.
