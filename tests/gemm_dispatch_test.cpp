@@ -515,7 +515,8 @@ TEST(GemmDispatch, SgemmBtMatchesScalarLoopBitwise) {
 // im2col + sgemm_serial + (bias, PReLU) epilogue lowering, whatever kernel
 // the tier runs for the shape. The sweep crosses kBlockK (k = 275, 500),
 // output rows narrower than, equal to and wider than a 16-lane vector
-// (rows breaking inside a vector), output pixel counts with and without
+// (slab vectors spanning rows; rows ending in a masked chunk), odd and
+// even row counts, output pixel counts with and without
 // out_h·out_w % 8 == 0, the 12-row output-channel groups, and the
 // stride/pad lowerings that never leave im2col.
 
@@ -590,9 +591,9 @@ TEST(GemmDispatch, DirectConvMatchesIm2colGemmBitwise) {
   set_gemm_tier(GemmTier::Avx2Fma);
   constexpr std::int64_t kKernel = 5;
   constexpr std::int64_t kBatch = 2;
-  // (H, W): out_w < 16 (gathers), = 16, > 16 with row breaks inside a
-  // vector; out_h·out_w % 8 == 0 or not; 32-lane strips with 8-, 16- and
-  // 24-lane tails.
+  // (H, W): out_w < 16 (lanes gathered across rows into the slab), = 16,
+  // > 16 with a masked last chunk per row; odd out_h (a lone last row);
+  // out_h·out_w % 8 == 0 or not.
   constexpr std::int64_t kHw[][2] = {
       {6, 6},   {8, 8},   {10, 8},  {12, 12}, {44, 9},  {20, 20},
       {21, 20}, {8, 22},  {24, 22}, {7, 28},  {9, 44},  {21, 21},
@@ -719,9 +720,9 @@ TEST(GemmDispatch, DirectConvNeverReadsPastTheImage) {
   TierGuard guard;
   set_gemm_tier(GemmTier::Avx2Fma);
   constexpr std::int64_t kKernel = 5;
-  // (8, 22): rows of 18 outputs break inside vectors and the 72 outputs
-  // end in an 8-lane tail; (10, 8): rows of 4 outputs are gathered and the
-  // 24 outputs end in an 8-lane tail; (21, 21): tier-1 conv0, whose 289th
+  // (8, 22): rows of 18 outputs, each a 16-lane chunk and a masked 2-lane
+  // one; (10, 8): rows of 4 outputs gathered into the slab, 24 outputs in
+  // a full and a half slab vector; (21, 21): tier-1 conv0, whose 289th
   // output is a scalar-tail column of the lowering; (9, 11): rows of 7
   // gathered outputs, 35 in all, the last 3 in scalar-tail columns. In
   // each, the last tap of the last output reads the image's last float.
