@@ -113,9 +113,9 @@ TEST_P(GemmTierParity, VectorMatchesScalar) {
   Tensor c_vector = c_scalar;
 
   set_gemm_tier(GemmTier::Scalar);
-  sgemm(m, n, k, 0.9f, a.data(), b.data(), 0.2f, c_scalar.data());
+  sgemm(m, n, k, 1.0f, a.data(), b.data(), 0.2f, c_scalar.data());
   set_gemm_tier(GemmTier::Avx2Fma);
-  sgemm(m, n, k, 0.9f, a.data(), b.data(), 0.2f, c_vector.data());
+  sgemm(m, n, k, 1.0f, a.data(), b.data(), 0.2f, c_vector.data());
 
   // The tiers reassociate the k reduction, so agreement is to float
   // tolerance, not bitwise.
@@ -165,17 +165,17 @@ TEST(GemmDispatch, VectorTierIsThreadCountInvariant) {
 
   Tensor c1({m, n});
   set_num_threads(1);
-  sgemm(m, n, k, 1.3f, a.data(), b.data(), 0.0f, c1.data());
+  sgemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c1.data());
   Tensor c4({m, n});
   set_num_threads(4);
-  sgemm(m, n, k, 1.3f, a.data(), b.data(), 0.0f, c4.data());
+  sgemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c4.data());
   set_num_threads(1);
   EXPECT_TRUE(c1.equals(c4));
 
   // And repeated runs reproduce the same bits: the vector tier has its own
   // determinism pin, independent of the scalar bit-reference.
   Tensor c_again({m, n});
-  sgemm(m, n, k, 1.3f, a.data(), b.data(), 0.0f, c_again.data());
+  sgemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c_again.data());
   EXPECT_TRUE(c1.equals(c_again));
 }
 
@@ -215,11 +215,11 @@ TEST(GemmDispatch, EpilogueBiasPreluMatchesSeparatePassesBitwise) {
 }
 
 TEST(GemmDispatch, EpilogueStillAppliesOnDegenerateCalls) {
-  // alpha == 0 short-circuits the accumulation but the bias must still
-  // land on the beta-scaled C.
+  // k == 0 short-circuits the accumulation but the bias must still land
+  // on the beta-scaled C.
   const Tensor bias({2}, {1.0f, -2.0f});
   Tensor c({2, 3}, 4.0f);
-  sgemm(2, 3, 5, 0.0f, nullptr, nullptr, 0.5f, c.data(),
+  sgemm(2, 3, 0, 1.0f, nullptr, nullptr, 0.5f, c.data(),
         GemmEpilogue{bias.data(), nullptr});
   for (std::int64_t j = 0; j < 3; ++j) {
     EXPECT_FLOAT_EQ(c.at(0, j), 3.0f);
@@ -275,10 +275,11 @@ struct Fnv1a {
   }
 };
 
-// The operands of one swept shape: A (m×k), its transpose (k×m) for
-// sgemm_at, B (k×n), an initial C and per-row bias/PReLU slopes.
+// The operands of one swept shape: A (m×k), A·0.5 and its transpose
+// (k×m, for sgemm_at), B (k×n), an initial C and per-row bias/PReLU
+// slopes.
 struct PinCase {
-  std::vector<float> a, at, b, c0, bias, slope;
+  std::vector<float> a, a_half, at_half, b, c0, bias, slope;
   PinCase(std::int64_t m, std::int64_t n, std::int64_t k) {
     PinValues v{static_cast<std::uint64_t>((m * 4096 + n) * 4096 + k)};
     a = v.fill(m * k);
@@ -286,11 +287,13 @@ struct PinCase {
     c0 = v.fill(m * n);
     bias = v.fill(m);
     slope = v.fill(m);
-    at.resize(a.size());
+    a_half = a;
+    for (float& e : a_half) e *= 0.5f;
+    at_half.resize(a.size());
     for (std::int64_t i = 0; i < m; ++i) {
       for (std::int64_t p = 0; p < k; ++p) {
-        at[static_cast<std::size_t>(p * m + i)] =
-            a[static_cast<std::size_t>(i * k + p)];
+        at_half[static_cast<std::size_t>(p * m + i)] =
+            a_half[static_cast<std::size_t>(i * k + p)];
       }
     }
   }
@@ -321,13 +324,14 @@ TEST(GemmDispatch, Avx2TierBitsMatchGoldenDigest) {
       for (const std::int64_t k : kPinK) {
         const PinCase in(m, n, k);
         std::vector<float> c = in.c0;
-        sgemm(m, n, k, 0.5f, in.a.data(), in.b.data(), 1.0f, c.data());
+        sgemm(m, n, k, 1.0f, in.a_half.data(), in.b.data(), 1.0f, c.data());
         mix(c, n);
         sgemm_serial(m, n, k, 1.0f, in.a.data(), in.b.data(), 0.0f, c.data(),
                      GemmEpilogue{in.bias.data(), in.slope.data()});
         mix(c, n);
         c = in.c0;
-        sgemm_at(m, n, k, 0.5f, in.at.data(), in.b.data(), 1.0f, c.data());
+        sgemm_at(m, n, k, 1.0f, in.at_half.data(), in.b.data(), 1.0f,
+                 c.data());
         mix(c, n);
       }
     }
@@ -362,12 +366,12 @@ TEST(GemmDispatch, Avx2TierVectorColumnsAreFmaChainsInKOrder) {
     for (const std::int64_t n : kPinN) {
       for (const std::int64_t k : kPinK) {
         const PinCase in(m, n, k);
-        // The contract: alpha is folded into A first, then one fmaf per k.
+        // The contract: one fmaf per k, in k order.
         std::vector<float> want = in.c0;
         for (std::int64_t i = 0; i < m; ++i) {
           float* row = want.data() + i * n;
           for (std::int64_t p = 0; p < k; ++p) {
-            const float ap = 0.5f * in.a[static_cast<std::size_t>(i * k + p)];
+            const float ap = in.a_half[static_cast<std::size_t>(i * k + p)];
             const float* bp = in.b.data() + p * n;
             for (std::int64_t j = 0; j < n; ++j) {
               row[j] = std::fmaf(ap, bp[j], row[j]);
@@ -375,12 +379,13 @@ TEST(GemmDispatch, Avx2TierVectorColumnsAreFmaChainsInKOrder) {
           }
         }
         std::vector<float> got = in.c0;
-        sgemm(m, n, k, 0.5f, in.a.data(), in.b.data(), 1.0f, got.data());
+        sgemm(m, n, k, 1.0f, in.a_half.data(), in.b.data(), 1.0f,
+              got.data());
         std::vector<float> got_serial = in.c0;
-        sgemm_serial(m, n, k, 0.5f, in.a.data(), in.b.data(), 1.0f,
+        sgemm_serial(m, n, k, 1.0f, in.a_half.data(), in.b.data(), 1.0f,
                      got_serial.data());
         std::vector<float> got_at = in.c0;
-        sgemm_at(m, n, k, 0.5f, in.at.data(), in.b.data(), 1.0f,
+        sgemm_at(m, n, k, 1.0f, in.at_half.data(), in.b.data(), 1.0f,
                  got_at.data());
         for (std::int64_t j = 0; j < n; ++j) {
           if (!in_vector_region(j, n)) continue;
@@ -406,17 +411,15 @@ TEST(GemmDispatch, Avx2TierVectorColumnsAreFmaChainsInKOrder) {
 // ---- sgemm_bt ----
 //
 // sgemm_bt is one dot product per output in double: even k into one
-// chain, odd k into another, then C += alpha · float(sum). float × float
+// chain, odd k into another, then C += float(sum). float × float
 // is exact in double, so fused or not, each step rounds once and the
 // result is a function of the operands alone, on every tier and build.
 // This is that loop, copied; sgemm_bt must match it bit for bit.
 void sgemm_bt_reference(std::int64_t m, std::int64_t n, std::int64_t k,
-                        float alpha, const float* a, const float* b,
-                        float beta, float* c) {
+                        const float* a, const float* b, float beta, float* c) {
   for (std::int64_t i = 0; i < m * n; ++i) {
     c[i] = beta == 0.0f ? 0.0f : beta == 1.0f ? c[i] : beta * c[i];
   }
-  if (alpha == 0.0f) return;
   for (std::int64_t i = 0; i < m; ++i) {
     const float* ai = a + i * k;
     for (std::int64_t j = 0; j < n; ++j) {
@@ -428,7 +431,7 @@ void sgemm_bt_reference(std::int64_t m, std::int64_t n, std::int64_t k,
         acc1 += static_cast<double>(ai[p + 1]) * bj[p + 1];
       }
       if (p < k) acc0 += static_cast<double>(ai[p]) * bj[p];
-      c[i * n + j] += alpha * static_cast<float>(acc0 + acc1);
+      c[i * n + j] += static_cast<float>(acc0 + acc1);
     }
   }
 }
@@ -487,20 +490,18 @@ TEST(GemmDispatch, SgemmBtMatchesScalarLoopBitwise) {
           const std::vector<float> a = special_operand(v, m, k, true, -1.0f);
           const std::vector<float> b = special_operand(v, n, k, n > 8, 1.0f);
           const std::vector<float> c0 = special_operand(v, m, n, false, 0.0f);
-          for (const float alpha : {1.0f, -0.5f}) {
-            for (const float beta : {0.0f, 1.0f}) {
-              std::vector<float> want = c0;
-              sgemm_bt_reference(m, n, k, alpha, a.data(), b.data(), beta,
-                                 want.data());
-              std::vector<float> got = c0;
-              sgemm_bt(m, n, k, alpha, a.data(), b.data(), beta, got.data());
-              ASSERT_EQ(std::memcmp(got.data(), want.data(),
-                                    want.size() * sizeof(float)),
-                        0)
-                  << gemm_tier_name(tier) << " m=" << m << " n=" << n
-                  << " k=" << k << " alpha=" << alpha << " beta=" << beta;
-              ++checked;
-            }
+          for (const float beta : {0.0f, 1.0f}) {
+            std::vector<float> want = c0;
+            sgemm_bt_reference(m, n, k, a.data(), b.data(), beta,
+                               want.data());
+            std::vector<float> got = c0;
+            sgemm_bt(m, n, k, 1.0f, a.data(), b.data(), beta, got.data());
+            ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                  want.size() * sizeof(float)),
+                      0)
+                << gemm_tier_name(tier) << " m=" << m << " n=" << n
+                << " k=" << k << " beta=" << beta;
+            ++checked;
           }
         }
       }
@@ -1177,7 +1178,7 @@ TEST(PointwiseConv, BackwardMatchesGeneralPath) {
 // Scalar reference for the full igemm contract: exact int32 accumulation,
 // then the requant epilogue in its documented element order (scale, bias,
 // PReLU). Everything is either exact integer arithmetic or a short fixed
-// float sequence, so igemm at ANY tier must match this bit for bit.
+// float sequence, so igemm_serial at ANY tier must match this bit for bit.
 Tensor igemm_reference(std::int64_t m, std::int64_t n, std::int64_t k,
                        const std::int8_t* a, const std::int8_t* b,
                        const IgemmEpilogue& ep) {
@@ -1250,12 +1251,9 @@ void expect_tiers_match_reference(int m, int n, int k,
     if (!gemm_tier_supported(tier)) continue;
     set_gemm_tier(tier);
     Tensor c({m, n});
-    igemm(m, n, k, a.data(), b.data(), c.data(), ep);
+    igemm_serial(m, n, k, a.data(), b.data(), c.data(), ep);
     EXPECT_TRUE(c.equals(ref))
         << gemm_tier_name(tier) << " m=" << m << " n=" << n << " k=" << k;
-    Tensor c_serial({m, n});
-    igemm_serial(m, n, k, a.data(), b.data(), c_serial.data(), ep);
-    EXPECT_TRUE(c_serial.equals(ref)) << "serial " << gemm_tier_name(tier);
   }
 }
 
@@ -1306,7 +1304,7 @@ TEST(IgemmDispatch, SaturatedOperandsAccumulateExactly) {
     if (!gemm_tier_supported(tier)) continue;
     set_gemm_tier(tier);
     Tensor c({m, n});
-    igemm(m, n, k, a.data(), b.data(), c.data(), ep);
+    igemm_serial(m, n, k, a.data(), b.data(), c.data(), ep);
     for (std::int64_t i = 0; i < m * n; ++i) {
       ASSERT_EQ(c.data()[i], want) << gemm_tier_name(tier);
     }
@@ -1347,11 +1345,8 @@ TEST(IgemmDispatch, LargestKWithExtremeOperandsIsExact) {
     if (!gemm_tier_supported(tier)) continue;
     set_gemm_tier(tier);
     Tensor c({m, n});
-    igemm(m, n, k, a.data(), b.data(), c.data(), ep);
+    igemm_serial(m, n, k, a.data(), b.data(), c.data(), ep);
     EXPECT_TRUE(c.equals(ref)) << gemm_tier_name(tier);
-    Tensor c_serial({m, n});
-    igemm_serial(m, n, k, a.data(), b.data(), c_serial.data(), ep);
-    EXPECT_TRUE(c_serial.equals(ref)) << "serial " << gemm_tier_name(tier);
   }
 }
 
@@ -1359,35 +1354,10 @@ TEST(IgemmDispatch, RejectsKBeyondAccumulatorBound) {
   std::vector<std::int8_t> dummy(1);
   std::vector<float> scale(1, 1.0f);
   Tensor c({1, 1});
-  EXPECT_THROW(igemm(1, 1, kIgemmMaxK + 1, dummy.data(), dummy.data(),
-                     c.data(), IgemmEpilogue{scale.data(), nullptr, nullptr}),
-               std::invalid_argument);
-}
-
-TEST(IgemmDispatch, ThreadCountAndRerunInvariantBitwise) {
-  const std::int64_t m = 70, n = 90, k = 260;
-  const auto a = pattern_i8(m * k, 5);
-  const auto b = pattern_i8(k * n, 9);
-  std::vector<float> scale(static_cast<std::size_t>(m), 0.01f);
-  std::vector<float> bias(static_cast<std::size_t>(m), -0.3f);
-  const IgemmEpilogue ep{scale.data(), bias.data(), nullptr};
-
-  TierGuard guard;
-  for (const GemmTier tier : {GemmTier::Scalar, GemmTier::Avx2Fma}) {
-    if (!gemm_tier_supported(tier)) continue;
-    set_gemm_tier(tier);
-    Tensor c1({m, n});
-    set_num_threads(1);
-    igemm(m, n, k, a.data(), b.data(), c1.data(), ep);
-    Tensor c4({m, n});
-    set_num_threads(4);
-    igemm(m, n, k, a.data(), b.data(), c4.data(), ep);
-    set_num_threads(1);
-    EXPECT_TRUE(c1.equals(c4)) << gemm_tier_name(tier);
-    Tensor c_again({m, n});
-    igemm(m, n, k, a.data(), b.data(), c_again.data(), ep);
-    EXPECT_TRUE(c1.equals(c_again)) << gemm_tier_name(tier);
-  }
+  EXPECT_THROW(
+      igemm_serial(1, 1, kIgemmMaxK + 1, dummy.data(), dummy.data(), c.data(),
+                   IgemmEpilogue{scale.data(), nullptr, nullptr}),
+      std::invalid_argument);
 }
 
 TEST(IgemmDispatch, SerialIsAllocationFreeAfterWarmup) {

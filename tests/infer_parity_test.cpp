@@ -82,7 +82,9 @@ void warm_running_stats(BandCnn& cnn, Rng& rng) {
   cnn.set_training(false);
 }
 
-TEST(InferParity, SessionMatchesEvalForwardUnfolded) {
+TEST(InferParity, UnfoldedInferIntoMatchesEvalForward) {
+  // The layer-by-layer serving forward (BatchNorm2d and PReLU as their
+  // own passes) against the training path's eval-mode forward.
   Rng rng(11);
   BandCnn cnn(small_cnn_config(), rng);
   warm_running_stats(cnn, rng);
@@ -91,11 +93,8 @@ TEST(InferParity, SessionMatchesEvalForwardUnfolded) {
       Tensor::rand_uniform({5, 2, kStamp, kStamp}, rng, -50.0f, 400.0f);
   const Tensor ref = cnn.forward(x);
 
-  SessionOptions opts;
-  opts.fold_batchnorm = false;
-  infer::InferenceSession session = make_session(cnn, opts);
-  EXPECT_EQ(session.plan().num_folded(), 0u);
-  const Tensor got = session.run(x);
+  Tensor got;
+  cnn.infer_into(x, got);
   ASSERT_EQ(got.shape(), ref.shape());
   EXPECT_TRUE(got.allclose(ref, 1e-5f));
 }
@@ -230,28 +229,43 @@ TEST(InferParity, SetTrainingPropagatesThroughComposites) {
   EXPECT_FALSE(hw.gate().is_training());
 }
 
+// The paper's three conv stages without batch norm (conv → PReLU → 2×2
+// max-pool each) and its FC head, over [2, kStamp, kStamp] stamps.
+void add_conv_prelu_pool_stages(nn::Sequential& net, Rng& rng) {
+  std::int64_t in_ch = 2;
+  for (const std::int64_t out_ch : {10, 20, 30}) {
+    net.emplace<nn::Conv2d>(in_ch, out_ch, 5, rng);
+    net.emplace<nn::PReLU>(out_ch, 0.25f);
+    net.emplace<nn::MaxPool2d>(2);
+    in_ch = out_ch;
+  }
+  net.emplace<nn::Flatten>();  // 36 → 32 → 16 → 12 → 6 → 2 → 1
+  net.emplace<nn::Linear>(30, 8, rng);
+  net.emplace<nn::PReLU>(8, 0.25f);
+  net.emplace<nn::Linear>(8, 1, rng);
+  net.set_training(false);
+}
+
 TEST(InferParity, FusedPreluSessionMatchesUnfusedBitwise) {
   Rng rng(19);
   BandCnn cnn(small_cnn_config(), rng);
-  warm_running_stats(cnn, rng);
-
-  const Tensor x =
-      Tensor::rand_uniform({6, 2, kStamp, kStamp}, rng, -50.0f, 400.0f);
-
-  SessionOptions unfused_opts;
-  unfused_opts.fuse_prelu = false;
-  infer::InferenceSession unfused = make_session(cnn, unfused_opts);
-  infer::InferenceSession fused = make_session(cnn);  // fusion on by default
-
-  EXPECT_EQ(unfused.plan().num_fused_prelu(), 0u);
   // One PReLU per conv stage rides the GEMM epilogue; the FC-stage PReLUs
   // follow Linears and stay standalone steps.
+  EXPECT_EQ(make_session(cnn).plan().num_fused_prelu(), 3u);
+
+  nn::Sequential net;
+  add_conv_prelu_pool_stages(net, rng);
+  infer::InferenceSession fused(net, {2, kStamp, kStamp});
   EXPECT_EQ(fused.plan().num_fused_prelu(), 3u);
-  EXPECT_EQ(fused.plan().num_steps() + 3, unfused.plan().num_steps());
+  EXPECT_EQ(fused.plan().num_steps(), 10u);
 
   // The epilogue applies the same elementwise operations in the same order
   // as the standalone activation pass, so fusion changes no bits.
-  EXPECT_TRUE(fused.run(x).equals(unfused.run(x)));
+  const Tensor x =
+      Tensor::rand_uniform({6, 2, kStamp, kStamp}, rng, -50.0f, 400.0f);
+  Tensor unfused;
+  net.infer_into(x, unfused);
+  EXPECT_TRUE(fused.run(x).equals(unfused));
 }
 
 TEST(InferParity, PreluFusesIntoUnfoldedAndPointwiseConvs) {
@@ -274,43 +288,52 @@ TEST(InferParity, PreluFusesIntoUnfoldedAndPointwiseConvs) {
   EXPECT_EQ(fused.plan().num_fused_prelu(), 2u);
   EXPECT_EQ(fused.plan().num_steps(), 2u);
 
-  infer::PlanOptions off;
-  off.fuse_prelu = false;
-  infer::InferenceSession unfused(net, sample, off);
-  EXPECT_EQ(unfused.plan().num_fused_prelu(), 0u);
-  EXPECT_EQ(unfused.plan().num_steps(), 4u);
-
-  EXPECT_TRUE(fused.run(x).equals(unfused.run(x)));
+  Tensor unfused;
+  net.infer_into(x, unfused);
+  EXPECT_TRUE(fused.run(x).equals(unfused));
 }
 
 // Every conv step followed by MaxPool2d(2) computes the pool itself in
 // run(); the pool step stays in the plan, absorbed. calibrate() runs each
 // step unfused, so its output is the reference: the same bits for the
-// folded plan, for an unfolded one (BN and PReLU steps sit between conv
-// and pool, so nothing fuses), and when the absorbed pool is the plan's
-// last step (the conv then writes straight into `out`).
+// band CNN's plan, for a net whose pools cannot fuse (a ReLU sits between
+// conv and pool), and when the absorbed pool is the plan's last step (the
+// conv then writes straight into `out`).
 TEST(InferParity, PoolFusedRunMatchesUnfusedCalibrateBitwise) {
   Rng rng(25);
   BandCnn cnn(small_cnn_config(), rng);
   warm_running_stats(cnn, rng);
   const Tensor x =
       Tensor::rand_uniform({5, 2, kStamp, kStamp}, rng, -50.0f, 400.0f);
-  for (const bool fold : {true, false}) {
-    SessionOptions opts;
-    opts.fold_batchnorm = fold;
-    opts.fuse_prelu = fold;
-    infer::InferenceSession session = make_session(cnn, opts);
-    EXPECT_EQ(session.plan().num_fused_pool(), fold ? 3u : 0u);
-    EXPECT_EQ(session.plan().num_steps(), fold ? 13u : 19u);
-    const Tensor got = session.run(x);
-    infer::CalibrationTable table;
-    Tensor want;
-    session.calibrate(x, want, table);
-    ASSERT_EQ(got.shape(), want.shape());
-    EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                          sizeof(float) * static_cast<std::size_t>(got.size())),
-              0)
-        << "fold=" << fold;
+  nn::Sequential relu_net;
+  relu_net.emplace<nn::Conv2d>(2, 6, 5, rng);
+  relu_net.emplace<nn::ReLU>();
+  relu_net.emplace<nn::MaxPool2d>(2);
+  relu_net.set_training(false);
+  const Tensor relu_x = Tensor::randn({3, 2, 15, 14}, rng);
+  const auto expect_run_matches_calibrate =
+      [](infer::InferenceSession& session, const Tensor& in) {
+        const Tensor got = session.run(in);
+        infer::CalibrationTable table;
+        Tensor want;
+        session.calibrate(in, want, table);
+        ASSERT_EQ(got.shape(), want.shape());
+        EXPECT_EQ(
+            std::memcmp(got.data(), want.data(),
+                        sizeof(float) * static_cast<std::size_t>(got.size())),
+            0);
+      };
+  {
+    infer::InferenceSession session = make_session(cnn);
+    EXPECT_EQ(session.plan().num_fused_pool(), 3u);
+    EXPECT_EQ(session.plan().num_steps(), 13u);
+    expect_run_matches_calibrate(session, x);
+  }
+  {
+    infer::InferenceSession session(relu_net, {2, 15, 14});
+    EXPECT_EQ(session.plan().num_fused_pool(), 0u);
+    EXPECT_EQ(session.plan().num_steps(), 3u);
+    expect_run_matches_calibrate(session, relu_x);
   }
 
   nn::Sequential tail;

@@ -298,18 +298,14 @@ TEST(Env, StrictParsersRejectJunkTailsAndOverflow) {
   EXPECT_DOUBLE_EQ(env::parse_float64("1e-5000").value_or(-1.0), 0.0);
 }
 
-TEST(RuntimeConfigTest, ResolvePrefetchAndTraceToggle) {
+TEST(RuntimeConfigTest, TraceToggle) {
   ObsGuard guard;
   const RuntimeConfig saved = RuntimeConfig::current();
 
   RuntimeConfig rc = saved;
-  rc.prefetch = 3;
   rc.trace = true;
   RuntimeConfig::set_current(rc);
   EXPECT_TRUE(obs::enabled());
-  EXPECT_EQ(RuntimeConfig::resolve_prefetch(-1), 3);  // sentinel defers
-  EXPECT_EQ(RuntimeConfig::resolve_prefetch(0), 0);   // explicit wins
-  EXPECT_EQ(RuntimeConfig::resolve_prefetch(5), 5);
 
   rc.trace = false;
   RuntimeConfig::set_current(rc);
