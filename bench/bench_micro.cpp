@@ -44,7 +44,7 @@ void BM_Sgemm(benchmark::State& state) {
   const Tensor b = Tensor::randn({n, n}, rng);
   Tensor c({n, n});
   for (auto _ : state) {
-    sgemm(n, n, n, 1.0f, a.data(), b.data(), 0.0f, c.data());
+    sgemm(n, n, n, a.data(), b.data(), 0.0f, c.data());
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
@@ -77,7 +77,7 @@ void BM_SgemmKernelTier(benchmark::State& state) {
   const Tensor b = Tensor::randn({n, n}, rng);
   Tensor c({n, n});
   for (auto _ : state) {
-    sgemm_serial(n, n, n, 1.0f, a.data(), b.data(), 0.0f, c.data());
+    sgemm_serial(n, n, n, a.data(), b.data(), 0.0f, c.data());
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
@@ -121,7 +121,7 @@ void BM_ConvGemmShape(benchmark::State& state) {
   Tensor c({s.m, s.n});
   const GemmEpilogue ep{bias.data(), slope.data()};
   for (auto _ : state) {
-    sgemm_serial(s.m, s.n, s.k, 1.0f, a.data(), b.data(), 0.0f, c.data(), ep);
+    sgemm_serial(s.m, s.n, s.k, a.data(), b.data(), 0.0f, c.data(), ep);
     benchmark::DoNotOptimize(c.data());
     benchmark::ClobberMemory();
   }
@@ -159,7 +159,7 @@ void BM_SgemmBtShape(benchmark::State& state) {
   const Tensor w = Tensor::randn({s.n, s.k}, rng);
   Tensor c({s.m, s.n});
   for (auto _ : state) {
-    sgemm_bt(s.m, s.n, s.k, 1.0f, a.data(), w.data(), 0.0f, c.data());
+    sgemm_bt(s.m, s.n, s.k, a.data(), w.data(), 0.0f, c.data());
     benchmark::DoNotOptimize(c.data());
     benchmark::ClobberMemory();
   }
@@ -209,7 +209,7 @@ void BM_ConvStepShape(benchmark::State& state) {
     } else {
       im2col(x.data(), s.cin, s.size, s.size, kKernel, kKernel, 0, 1,
              cols.data());
-      sgemm_serial(s.cout, n, k, 1.0f, w.data(), cols.data(), 0.0f, y.data(),
+      sgemm_serial(s.cout, n, k, w.data(), cols.data(), 0.0f, y.data(),
                    ep);
     }
     benchmark::DoNotOptimize(y.data());

@@ -37,8 +37,6 @@ void check_single_net(const SessionOptions& options) {
 infer::PlanOptions plan_options(const SessionOptions& options) {
   check_single_net(options);
   infer::PlanOptions plan;
-  plan.fold_batchnorm = options.fold_batchnorm;
-  plan.fuse_prelu = options.fuse_prelu;
   plan.precision = options.precision;
   plan.calibration = options.calibration;
   return plan;

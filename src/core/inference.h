@@ -31,11 +31,6 @@ namespace sne::core {
 /// absent ranges would silently serve garbage.
 struct SessionOptions {
   Precision precision = Precision::Fp32;
-  /// Fold BatchNorm into the preceding conv using the trained running
-  /// statistics (serving-only transformation; bitwise-pinned by tests).
-  bool fold_batchnorm = true;
-  /// Fuse PReLU into the preceding step's epilogue.
-  bool fuse_prelu = true;
   /// Activation ranges for a single-net int8 plan. Borrowed for the
   /// duration of the factory call only.
   const infer::CalibrationTable* calibration = nullptr;

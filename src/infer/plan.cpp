@@ -73,7 +73,7 @@ InferencePlan::InferencePlan(const nn::Sequential& net,
 
     const auto* conv = dynamic_cast<const nn::Conv2d*>(&layer);
     const nn::BatchNorm2d* bn =
-        (conv != nullptr && options.fold_batchnorm && i + 1 < net.size())
+        (conv != nullptr && i + 1 < net.size())
             ? dynamic_cast<const nn::BatchNorm2d*>(&net.layer(i + 1))
             : nullptr;
     if (bn != nullptr) {
@@ -91,7 +91,7 @@ InferencePlan::InferencePlan(const nn::Sequential& net,
     // Bitwise identical to a separate activation pass, so fusing is
     // unconditionally safe when the channel counts line up.
     bool fused_prelu = false;
-    if (conv != nullptr && options.fuse_prelu && i + 1 < net.size()) {
+    if (conv != nullptr && i + 1 < net.size()) {
       const auto* prelu = dynamic_cast<const nn::PReLU*>(&net.layer(i + 1));
       if (prelu != nullptr && prelu->channels() == conv->out_channels()) {
         step.conv = conv;
@@ -146,7 +146,7 @@ void InferencePlan::lower_int8(const CalibrationTable& calibration) {
         "InferencePlan: calibration table has " +
         std::to_string(calibration.step_max.size()) +
         " step ranges but the plan has " + std::to_string(steps_.size()) +
-        " steps — it was recorded with different fold/fuse options");
+        " steps");
   }
 
   // Walk the steps threading the calibrated activation range through:
@@ -171,7 +171,7 @@ void InferencePlan::lower_int8(const CalibrationTable& calibration) {
         step.requant[c] = in_scale * step.qweight.scales[c];
       }
       step.input_inv_scale = 127.0f / cur_max;
-      step.conv = conv;  // unfolded/unfused convs need the typed entry too
+      step.conv = conv;  // convs with no BN or PReLU after them need it too
       step.int8 = true;
       // The int8 conv runs unpooled; the pool step runs on its own again.
       if (step.pool_fused) {

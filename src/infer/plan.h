@@ -44,28 +44,25 @@ struct CalibrationTable {
   bool empty() const noexcept { return step_max.size() == 0; }
 };
 
+/// How a plan lowers. Every plan folds each Conv2d immediately followed by
+/// a BatchNorm2d into one convolution with scaled weights (γ/√(var+ε) per
+/// output channel) and shifted bias, using the batch norm's *running*
+/// statistics (the trained model is not modified; the folded parameters
+/// live in the plan; exact for inference semantics up to float rounding).
+/// Every plan also fuses a per-channel PReLU that immediately follows a
+/// Conv2d (or a folded Conv2d→BatchNorm2d pair) into the convolution's
+/// GEMM epilogue, so Conv+BN+PReLU executes as one plan step: bitwise
+/// identical to running the activation as its own step, minus one full
+/// pass over the activation tensor and one arena ping-pong.
 struct PlanOptions {
-  /// Fold each Conv2d immediately followed by a BatchNorm2d into one
-  /// convolution with scaled weights (γ/√(var+ε) per output channel) and
-  /// shifted bias, using the batch norm's *running* statistics. The
-  /// trained model is not modified; the folded parameters live in the
-  /// plan. Exact for inference semantics up to float rounding.
-  bool fold_batchnorm = true;
-  /// Fuse a per-channel PReLU that immediately follows a Conv2d (or a
-  /// folded Conv2d→BatchNorm2d pair) into the convolution's GEMM epilogue,
-  /// so Conv+BN+PReLU executes as one plan step. Bitwise identical to
-  /// running the activation as its own step — the epilogue applies the
-  /// same elementwise operation — it just removes one full pass over the
-  /// activation tensor and one arena ping-pong.
-  bool fuse_prelu = true;
   /// Serving precision this plan lowers to. Fp32 plans ignore
   /// `calibration`. Int8 plans require a calibration table recorded from
-  /// a plan with the SAME fold/fuse options (step counts are validated;
-  /// the factories in core/inference.h get this right): each conv step
-  /// whose calibrated input range is usable gets per-output-channel
-  /// quantized weights and a requantization epilogue; every other step —
-  /// pooling, Linear, unfused activations, or a conv with a degenerate
-  /// range — falls back to fp32, per step, with no accuracy cliff.
+  /// an fp32 plan of the same network (step counts are validated; the
+  /// factories in core/inference.h get this right): each conv step whose
+  /// calibrated input range is usable gets per-output-channel quantized
+  /// weights and a requantization epilogue; every other step — pooling,
+  /// Linear, unfused activations, or a conv with a degenerate range —
+  /// falls back to fp32, per step, with no accuracy cliff.
   Precision precision = Precision::Fp32;
   /// Borrowed during plan construction only (the plan copies what it
   /// keeps). Required when precision == Precision::Int8.

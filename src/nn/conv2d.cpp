@@ -67,7 +67,7 @@ Tensor Conv2d::forward(const Tensor& x) {
     cached_input_ = x;
     const std::int64_t chw = in_channels_ * h * w;
     parallel_for(0, n, [&](std::int64_t i) {
-      sgemm(out_channels_, out_hw, col_rows, 1.0f, weight_.value.data(),
+      sgemm(out_channels_, out_hw, col_rows, weight_.value.data(),
             x.data() + i * chw, 0.0f, y.data() + i * out_channels_ * out_hw,
             bias_ep);
     });
@@ -84,7 +84,7 @@ Tensor Conv2d::forward(const Tensor& x) {
     im2col(x.data() + i * in_channels_ * h * w, in_channels_, h, w, kernel_,
            kernel_, pad_, stride_, cols);
     // y_i[Cout, H'W'] = W[Cout, col_rows] · cols[col_rows, H'W'] + bias
-    sgemm(out_channels_, out_hw, col_rows, 1.0f, weight_.value.data(), cols,
+    sgemm(out_channels_, out_hw, col_rows, weight_.value.data(), cols,
           0.0f, y.data() + i * out_channels_ * out_hw, bias_ep);
   });
   return y;
@@ -222,7 +222,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
         pointwise ? cached_input_.data() + i * in_channels_ * h * w
                   : cached_columns_.data() + i * col_rows * out_hw;
     // dW_i[Cout, col_rows] = gy[Cout, H'W'] · colsᵀ
-    sgemm_bt(out_channels_, col_rows, out_hw, 1.0f, gy, cols, 0.0f,
+    sgemm_bt(out_channels_, col_rows, out_hw, gy, cols, 0.0f,
              dw.data() + i * wsize);
     // db_i[Cout] = per-channel sums of gy
     for (std::int64_t c = 0; c < out_channels_; ++c) {
@@ -236,13 +236,13 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
       // col2im is the identity for 1×1/stride-1/no-pad, so Wᵀ · gy is the
       // input gradient itself: write it straight into grad_input, no
       // scratch buffer and no scatter.
-      sgemm_at(col_rows, out_hw, out_channels_, 1.0f, weight_.value.data(),
+      sgemm_at(col_rows, out_hw, out_channels_, weight_.value.data(),
                gy, 0.0f, grad_input.data() + i * in_channels_ * h * w);
     } else {
       thread_local std::vector<float> grad_cols;
       grad_cols.resize(static_cast<std::size_t>(col_rows * out_hw));
       // dcols[col_rows, H'W'] = Wᵀ · gy, then scatter back with col2im.
-      sgemm_at(col_rows, out_hw, out_channels_, 1.0f, weight_.value.data(),
+      sgemm_at(col_rows, out_hw, out_channels_, weight_.value.data(),
                gy, 0.0f, grad_cols.data());
       col2im(grad_cols.data(), in_channels_, h, w, kernel_, kernel_, pad_,
              stride_, grad_input.data() + i * in_channels_ * h * w);

@@ -36,7 +36,7 @@ void add_bias(Tensor& t, const Tensor& bias) {
 // dW[H,in] += gᵀ[H,N] · x[N,in];  db[H] += column sums of g.
 void accumulate_affine_grads(const Tensor& g, const Tensor& x, Param& w,
                              Param& b) {
-  sgemm_at(w.value.extent(0), w.value.extent(1), g.extent(0), 1.0f, g.data(),
+  sgemm_at(w.value.extent(0), w.value.extent(1), g.extent(0), g.data(),
            x.data(), 1.0f, w.grad.data());
   const std::int64_t n = g.extent(0);
   const std::int64_t h = g.extent(1);
@@ -49,7 +49,7 @@ void accumulate_affine_grads(const Tensor& g, const Tensor& x, Param& w,
 // out[N,in] += g[N,H] · W[H,in]
 void backprop_affine_input(const Tensor& g, const Param& w, Tensor& out) {
   Tensor tmp({g.extent(0), w.value.extent(1)});
-  sgemm(g.extent(0), w.value.extent(1), g.extent(1), 1.0f, g.data(),
+  sgemm(g.extent(0), w.value.extent(1), g.extent(1), g.data(),
         w.value.data(), 0.0f, tmp.data());
   out += tmp;
 }
@@ -75,7 +75,7 @@ Gru::Gru(std::int64_t input_size, std::int64_t hidden_size, Rng& rng,
 }
 
 void Gru::affine(const Tensor& x, const Param& w, Tensor& y) {
-  sgemm_bt(x.extent(0), w.value.extent(0), x.extent(1), 1.0f, x.data(),
+  sgemm_bt(x.extent(0), w.value.extent(0), x.extent(1), x.data(),
            w.value.data(), 1.0f, y.data());
 }
 
@@ -237,11 +237,11 @@ Tensor Gru::backward(const Tensor& grad_output) {
     rh *= h_prev;
     accumulate_affine_grads(dn_pre, xt, wn_, bn_);
     // dUn += dn_preᵀ · rh done inside a second accumulate (weight matrix Un):
-    sgemm_at(hidden_, hidden_, n, 1.0f, dn_pre.data(), rh.data(), 1.0f,
+    sgemm_at(hidden_, hidden_, n, dn_pre.data(), rh.data(), 1.0f,
              un_.grad.data());
     // d(rh)[N,H] = dn_pre · Un
     Tensor d_rh({n, hidden_});
-    sgemm(n, hidden_, hidden_, 1.0f, dn_pre.data(), un_.value.data(), 0.0f,
+    sgemm(n, hidden_, hidden_, dn_pre.data(), un_.value.data(), 0.0f,
           d_rh.data());
     Tensor dr_pre({n, hidden_});
     for (std::int64_t i = 0; i < d_rh.size(); ++i) {
@@ -251,22 +251,22 @@ Tensor Gru::backward(const Tensor& grad_output) {
 
     // Update and reset gates.
     accumulate_affine_grads(dz_pre, xt, wz_, bz_);
-    sgemm_at(hidden_, hidden_, n, 1.0f, dz_pre.data(), h_prev.data(), 1.0f,
+    sgemm_at(hidden_, hidden_, n, dz_pre.data(), h_prev.data(), 1.0f,
              uz_.grad.data());
     backprop_affine_input(dz_pre, uz_, gh_prev);
 
     accumulate_affine_grads(dr_pre, xt, wr_, br_);
-    sgemm_at(hidden_, hidden_, n, 1.0f, dr_pre.data(), h_prev.data(), 1.0f,
+    sgemm_at(hidden_, hidden_, n, dr_pre.data(), h_prev.data(), 1.0f,
              ur_.grad.data());
     backprop_affine_input(dr_pre, ur_, gh_prev);
 
     // Input gradient for this timestep.
     Tensor dxt({n, input_});
-    sgemm(n, input_, hidden_, 1.0f, dz_pre.data(), wz_.value.data(), 0.0f,
+    sgemm(n, input_, hidden_, dz_pre.data(), wz_.value.data(), 0.0f,
           dxt.data());
-    sgemm(n, input_, hidden_, 1.0f, dr_pre.data(), wr_.value.data(), 1.0f,
+    sgemm(n, input_, hidden_, dr_pre.data(), wr_.value.data(), 1.0f,
           dxt.data());
-    sgemm(n, input_, hidden_, 1.0f, dn_pre.data(), wn_.value.data(), 1.0f,
+    sgemm(n, input_, hidden_, dn_pre.data(), wn_.value.data(), 1.0f,
           dxt.data());
     for (std::int64_t i = 0; i < n; ++i) {
       float* dst = grad_x.data() + (i * steps + t) * input_;

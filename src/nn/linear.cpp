@@ -37,7 +37,7 @@ Tensor Linear::forward(const Tensor& x) {
   const std::int64_t n = x.extent(0);
   Tensor y({n, out_});
   // y = x[N,in] · Wᵀ (W is [out,in]).
-  sgemm_bt(n, out_, in_, 1.0f, x.data(), weight_.value.data(), 0.0f, y.data());
+  sgemm_bt(n, out_, in_, x.data(), weight_.value.data(), 0.0f, y.data());
   for (std::int64_t i = 0; i < n; ++i) {
     float* row = y.data() + i * out_;
     for (std::int64_t j = 0; j < out_; ++j) row[j] += bias_.value[j];
@@ -57,7 +57,7 @@ void Linear::infer_into(ConstTensorView x, Tensor& out) const {
   // per-thread operand strip has grown (the session's warmup run grows
   // it), so this stays within the inference path's zero-allocation
   // contract.
-  sgemm_bt(n, out_, in_, 1.0f, x.data(), weight_.value.data(), 0.0f,
+  sgemm_bt(n, out_, in_, x.data(), weight_.value.data(), 0.0f,
            out.data());
   for (std::int64_t i = 0; i < n; ++i) {
     float* row = out.data() + i * out_;
@@ -84,7 +84,7 @@ Tensor Linear::backward(const Tensor& grad_output) {
   }
 
   // dW[out,in] += gyᵀ[out,N] · x[N,in]
-  sgemm_at(out_, in_, n, 1.0f, grad_output.data(), cached_input_.data(), 1.0f,
+  sgemm_at(out_, in_, n, grad_output.data(), cached_input_.data(), 1.0f,
            weight_.grad.data());
   // db[out] += column sums of gy
   for (std::int64_t i = 0; i < n; ++i) {
@@ -93,7 +93,7 @@ Tensor Linear::backward(const Tensor& grad_output) {
   }
   // dx[N,in] = gy[N,out] · W[out,in]
   Tensor grad_input({n, in_});
-  sgemm(n, in_, out_, 1.0f, grad_output.data(), weight_.value.data(), 0.0f,
+  sgemm(n, in_, out_, grad_output.data(), weight_.value.data(), 0.0f,
         grad_input.data());
   return grad_input;
 }

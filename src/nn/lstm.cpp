@@ -35,7 +35,7 @@ void add_bias(Tensor& t, const Tensor& bias) {
 
 // y[N,H] (+)= x[N,D] · Wᵀ (W is [H,D]).
 void affine(const Tensor& x, const Param& w, Tensor& y) {
-  sgemm_bt(x.extent(0), w.value.extent(0), x.extent(1), 1.0f, x.data(),
+  sgemm_bt(x.extent(0), w.value.extent(0), x.extent(1), x.data(),
            w.value.data(), 1.0f, y.data());
 }
 
@@ -43,9 +43,9 @@ void affine(const Tensor& x, const Param& w, Tensor& y) {
 void backprop_gate(const Tensor& g_pre, const Tensor& xt,
                    const Tensor& h_prev, Param& w, Param& u, Param& b,
                    Tensor& gh_prev, Tensor& dxt) {
-  sgemm_at(w.value.extent(0), w.value.extent(1), g_pre.extent(0), 1.0f,
+  sgemm_at(w.value.extent(0), w.value.extent(1), g_pre.extent(0),
            g_pre.data(), xt.data(), 1.0f, w.grad.data());
-  sgemm_at(u.value.extent(0), u.value.extent(1), g_pre.extent(0), 1.0f,
+  sgemm_at(u.value.extent(0), u.value.extent(1), g_pre.extent(0),
            g_pre.data(), h_prev.data(), 1.0f, u.grad.data());
   const std::int64_t n = g_pre.extent(0);
   const std::int64_t h = g_pre.extent(1);
@@ -53,9 +53,9 @@ void backprop_gate(const Tensor& g_pre, const Tensor& xt,
     const float* row = g_pre.data() + i * h;
     for (std::int64_t j = 0; j < h; ++j) b.grad[j] += row[j];
   }
-  sgemm(n, u.value.extent(1), h, 1.0f, g_pre.data(), u.value.data(), 1.0f,
+  sgemm(n, u.value.extent(1), h, g_pre.data(), u.value.data(), 1.0f,
         gh_prev.data());
-  sgemm(n, w.value.extent(1), h, 1.0f, g_pre.data(), w.value.data(), 1.0f,
+  sgemm(n, w.value.extent(1), h, g_pre.data(), w.value.data(), 1.0f,
         dxt.data());
 }
 

@@ -82,10 +82,6 @@ std::vector<EpochStats> Trainer::fit(const Dataset& train, const Dataset* val,
   std::vector<EpochStats> history;
   history.reserve(static_cast<std::size_t>(config.epochs));
 
-  // Deprecated TrainConfig::verbose forwards to the default sink.
-  EpochSink sink = config.on_epoch;
-  if (!sink && config.verbose) sink = stdout_epoch_sink();
-
   for (std::int64_t epoch = 0; epoch < config.epochs; ++epoch) {
     obs::Span epoch_span("train.epoch", epoch);
     model_.set_training(true);
@@ -133,7 +129,7 @@ std::vector<EpochStats> Trainer::fit(const Dataset& train, const Dataset* val,
       stats.val_loss = std::numeric_limits<float>::quiet_NaN();
       stats.val_metric = std::numeric_limits<float>::quiet_NaN();
     }
-    if (sink) sink(stats);
+    if (config.on_epoch) config.on_epoch(stats);
     if (config.lr_decay != 1.0f) {
       optimizer_.set_learning_rate(optimizer_.learning_rate() *
                                    config.lr_decay);

@@ -54,11 +54,8 @@ struct TrainConfig {
   float grad_clip = 0.0f;   ///< 0 disables clipping
   float lr_decay = 1.0f;    ///< learning rate ×= lr_decay after each epoch
   std::uint64_t shuffle_seed = 1;
-  /// Called after every epoch. Null = silent (unless `verbose`, below).
+  /// Called after every epoch. Null = silent.
   EpochSink on_epoch;
-  /// Deprecated alias: verbose == true with no on_epoch sink attaches
-  /// stdout_epoch_sink(). Prefer setting on_epoch directly.
-  bool verbose = false;
 };
 
 /// Aggregate result of evaluate(): mean loss (and metric) over a dataset.

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "tensor/env.h"
 #include "tensor/pool.h"
 #include "tensor/thread_pool.h"
 
@@ -690,7 +688,7 @@ const std::int64_t* conv_tap_offsets(std::int64_t channels,
   return koff.data();
 }
 
-// sgemm_bt's loop on the Avx2Fma tier, alpha == 1: each output is two
+// sgemm_bt's loop on the Avx2Fma tier: each output is two
 // double chains over k ascending, even p into one and odd p into the
 // other (a trailing even p joins the first), then C += float(sum of the
 // two). float × float is exact in double, so a fused multiply-add rounds
@@ -814,22 +812,6 @@ GemmTier clamp_to_supported(GemmTier tier) noexcept {
   return gemm_tier_supported(tier) ? tier : GemmTier::Scalar;
 }
 
-GemmTier resolve_default_tier() {
-  const std::string v = env::string("GEMM_KERNEL", "auto");
-  if (v == "scalar") return GemmTier::Scalar;
-  if (v == "avx2") return clamp_to_supported(GemmTier::Avx2Fma);
-  if (v != "auto") {
-    // Resolution happens at most once per process, so this warns once. A
-    // typo'd kernel request silently running a different kernel is much
-    // harder to notice than one stderr line.
-    std::fprintf(stderr,
-                 "sne: ignoring invalid SNE_GEMM_KERNEL=\"%s\" "
-                 "(expected scalar|avx2|auto); using auto\n",
-                 v.c_str());
-  }
-  return clamp_to_supported(GemmTier::Avx2Fma);
-}
-
 using BlockKernel = void (*)(std::int64_t, std::int64_t, std::int64_t,
                              const float*, std::int64_t, const float*,
                              std::int64_t, float*, std::int64_t);
@@ -877,34 +859,19 @@ void apply_epilogue(std::int64_t i0, std::int64_t mb, std::int64_t n,
 }
 
 // One row panel of C: the k/n-blocked accumulation for rows [i0, i0+mb),
-// then the epilogue for those rows. Shared by the parallel and serial
-// drivers so their math (and bits) are identical; `a_panel` is
-// caller-provided scratch, reused across calls. `kernel` is the dispatched
-// inner kernel, captured once per driver call. At alpha == 1 the kernels
-// read A in place: 1·x == x for every float, so the scaled copy would only
-// cost a pass over A (60 KB per call for the joint model's conv5).
+// with the kernels reading A in place, then the epilogue for those rows.
+// Shared by the parallel and serial drivers so their math (and bits) are
+// identical. `kernel` is the dispatched inner kernel, captured once per
+// driver call.
 void sgemm_panel(std::int64_t i0, std::int64_t mb, std::int64_t n,
-                 std::int64_t k, float alpha, const float* a, const float* b,
-                 float* c, std::vector<float>& a_panel, BlockKernel kernel,
-                 const GemmEpilogue& epilogue) {
+                 std::int64_t k, const float* a, const float* b, float* c,
+                 BlockKernel kernel, const GemmEpilogue& epilogue) {
   for (std::int64_t p0 = 0; p0 < k; p0 += kBlockK) {
     const std::int64_t kb = std::min(kBlockK, k - p0);
-    const float* a_block = a + i0 * k + p0;
-    std::int64_t lda = k;
-    if (alpha != 1.0f) {
-      a_panel.resize(static_cast<std::size_t>(mb * kb));
-      for (std::int64_t i = 0; i < mb; ++i) {
-        const float* src = a + (i0 + i) * k + p0;
-        float* dst = a_panel.data() + i * kb;
-        for (std::int64_t p = 0; p < kb; ++p) dst[p] = alpha * src[p];
-      }
-      a_block = a_panel.data();
-      lda = kb;
-    }
     for (std::int64_t j0 = 0; j0 < n; j0 += kBlockN) {
       const std::int64_t nb = std::min(kBlockN, n - j0);
-      kernel(mb, nb, kb, a_block, lda, b + p0 * n + j0, n, c + i0 * n + j0,
-             n);
+      kernel(mb, nb, kb, a + i0 * k + p0, k, b + p0 * n + j0, n,
+             c + i0 * n + j0, n);
     }
   }
   if (!epilogue.empty()) apply_epilogue(i0, mb, n, c, epilogue);
@@ -918,10 +885,9 @@ void sgemm_panel(std::int64_t i0, std::int64_t mb, std::int64_t n,
 // order-independent, and the scalar and AVX2 requant epilogues run the
 // same per-element IEEE operation sequence (convert, fused
 // multiply-add via fmaf/vfmaddps — one rounding, stated in source so it
-// cannot drift with -ffp-contract — then PReLU select), so igemm
-// results are bitwise identical across
-// tiers, thread counts and reruns; the dispatch test pins the tier
-// equality exactly.
+// cannot drift with -ffp-contract — then PReLU select), so int8 GEMM
+// results are bitwise identical across tiers and reruns; the dispatch
+// test pins the tier equality exactly.
 
 // Tile geometry: up to 6 rows × 16 int32 accumulators, mirroring the f32
 // kernel's register blocking (12 ymm accumulators + 2 B vectors + 1
@@ -976,13 +942,12 @@ void igemm_tile_scalar(std::int64_t rows, std::int64_t cols, std::int64_t k,
   }
 }
 
-void igemm_rows_scalar(std::int64_t i0, std::int64_t i1, std::int64_t n,
-                       std::int64_t k, const std::int8_t* a,
-                       const std::int8_t* b, float* c,
+void igemm_rows_scalar(std::int64_t m, std::int64_t n, std::int64_t k,
+                       const std::int8_t* a, const std::int8_t* b, float* c,
                        const IgemmEpilogue& ep) {
   std::int32_t tile[kIgemmTileM * kIgemmTileN];
-  for (std::int64_t i = i0; i < i1; i += kIgemmTileM) {
-    const std::int64_t rows = std::min(kIgemmTileM, i1 - i);
+  for (std::int64_t i = 0; i < m; i += kIgemmTileM) {
+    const std::int64_t rows = std::min(kIgemmTileM, m - i);
     for (std::int64_t j = 0; j < n; j += kIgemmTileN) {
       const std::int64_t cols = std::min(kIgemmTileN, n - j);
       igemm_tile_scalar(rows, cols, k, a + i * k, k, b + j, n, tile);
@@ -1099,19 +1064,17 @@ __attribute__((target("avx2"))) void igemm_tile16_avx2(
   }
 }
 
-void igemm_rows_avx2(std::int64_t i0, std::int64_t i1, std::int64_t n,
-                     std::int64_t k, const std::int8_t* a,
-                     const std::int8_t* b, float* c, const IgemmEpilogue& ep,
+void igemm_rows_avx2(std::int64_t m, std::int64_t n, std::int64_t k,
+                     const std::int8_t* a, const std::int8_t* b, float* c,
+                     const IgemmEpilogue& ep,
                      std::vector<std::int32_t>& apack,
                      std::vector<std::int16_t>& bpack) {
-  // Pre-pack every A row of this panel into k-pairs once; the inner loop
-  // then broadcasts straight from memory instead of re-packing per tile.
+  // Pre-pack every A row into k-pairs once; the inner loop then
+  // broadcasts straight from memory instead of re-packing per tile.
   const std::int64_t kp = k / 2;
-  const std::int64_t rows_total = i1 - i0;
-  apack.resize(static_cast<std::size_t>(std::max<std::int64_t>(
-      rows_total * kp, 1)));
-  for (std::int64_t r = 0; r < rows_total; ++r) {
-    const std::int8_t* ar = a + (i0 + r) * k;
+  apack.resize(static_cast<std::size_t>(std::max<std::int64_t>(m * kp, 1)));
+  for (std::int64_t r = 0; r < m; ++r) {
+    const std::int8_t* ar = a + r * k;
     std::int32_t* dst = apack.data() + r * kp;
     for (std::int64_t p = 0; p < kp; ++p) {
       dst[p] = pack_a_pair(ar[2 * p], ar[2 * p + 1]);
@@ -1121,16 +1084,14 @@ void igemm_rows_avx2(std::int64_t i0, std::int64_t i1, std::int64_t n,
 
   // Column blocks outermost: each 16-column strip of B is converted to
   // interleaved i16 once (≤ 32·k bytes, L1/L2-resident for real conv
-  // shapes) and reused by every row tile of the panel. With parallel
-  // igemm each row panel repacks its strips — for conv shapes m fits one
-  // panel, and the pack is O(n·k) against O(m·n·k) accumulation anyway.
+  // shapes) and reused by every row tile.
   alignas(32) std::int32_t tile[kIgemmTileM * kIgemmTileN];
   std::int64_t j = 0;
   for (; j + kIgemmTileN <= n; j += kIgemmTileN) {
     igemm_pack_b_avx2(b, n, j, kp, bpack.data());
-    for (std::int64_t i = i0; i < i1; i += kIgemmTileM) {
-      const std::int64_t rows = std::min(kIgemmTileM, i1 - i);
-      const std::int32_t* ap = apack.data() + (i - i0) * kp;
+    for (std::int64_t i = 0; i < m; i += kIgemmTileM) {
+      const std::int64_t rows = std::min(kIgemmTileM, m - i);
+      const std::int32_t* ap = apack.data() + i * kp;
       const std::int16_t* bp = bpack.data();
       switch (rows) {
         case 1: igemm_tile16_avx2<1>(ap, kp, kp, bp, tile); break;
@@ -1157,8 +1118,8 @@ void igemm_rows_avx2(std::int64_t i0, std::int64_t i1, std::int64_t n,
   if (j < n) {
     // Ragged column tail (< 16 columns): scalar accumulation. Exact
     // integer math, so mixing paths cannot change any bit.
-    for (std::int64_t i = i0; i < i1; i += kIgemmTileM) {
-      const std::int64_t rows = std::min(kIgemmTileM, i1 - i);
+    for (std::int64_t i = 0; i < m; i += kIgemmTileM) {
+      const std::int64_t rows = std::min(kIgemmTileM, m - i);
       igemm_tile_scalar(rows, n - j, k, a + i * k, k, b + j, n, tile);
       igemm_requant_tile(tile, i, rows, j, n - j, n, c, ep);
     }
@@ -1336,7 +1297,7 @@ igemm_rows_tile_vnni(std::int64_t rows, std::int64_t kq,
 
 constexpr std::int64_t kIgemmVnniMaxRows = 12;
 
-// The VNNI driver of rows [i0, i1) of C (m × n, row-major) against a B
+// The VNNI driver of C (m × n, row-major) against a B
 // that `pack_b(j, kq, dst)` packs one 32-column strip at a time, as
 // igemm_pack_b_vnni lays it out. Rows go in near-equal groups of ≤ 12
 // (m = 10, 20, 30 → 10, 10+10, 10+10+10) against 32- and 16-column tiles:
@@ -1345,8 +1306,8 @@ constexpr std::int64_t kIgemmVnniMaxRows = 12;
 // reused by every row group while it is cache-hot. Ragged columns run the
 // same tiles with a masked final store; there is no scalar tail.
 template <typename PackB>
-void igemm_strips_vnni(std::int64_t i0, std::int64_t i1, std::int64_t n,
-                       std::int64_t k, const std::int8_t* a, float* c,
+void igemm_strips_vnni(std::int64_t m, std::int64_t n, std::int64_t k,
+                       const std::int8_t* a, float* c,
                        const IgemmEpilogue& ep,
                        std::vector<std::int32_t>& apack,
                        std::vector<std::int16_t>& bpack,
@@ -1354,11 +1315,10 @@ void igemm_strips_vnni(std::int64_t i0, std::int64_t i1, std::int64_t n,
   // A rows as dword k-quads (zero-padded past k), then one start value
   // per row.
   const std::int64_t kq = (k + 3) / 4;
-  const std::int64_t rows_total = i1 - i0;
-  apack.resize(static_cast<std::size_t>(rows_total * (kq + 1)));
-  std::int32_t* start = apack.data() + rows_total * kq;
-  for (std::int64_t r = 0; r < rows_total; ++r) {
-    const std::int8_t* ar = a + (i0 + r) * k;
+  apack.resize(static_cast<std::size_t>(m * (kq + 1)));
+  std::int32_t* start = apack.data() + m * kq;
+  for (std::int64_t r = 0; r < m; ++r) {
+    const std::int8_t* ar = a + r * k;
     std::int32_t* quads = apack.data() + r * kq;
     if (kq > 0) quads[kq - 1] = 0;  // the zero bytes past k
     std::memcpy(quads, ar, static_cast<std::size_t>(k));
@@ -1373,8 +1333,7 @@ void igemm_strips_vnni(std::int64_t i0, std::int64_t i1, std::int64_t n,
   auto* bbuf = reinterpret_cast<std::uint8_t*>(bpack.data());
   bbuf += (64 - reinterpret_cast<std::uintptr_t>(bbuf) % 64) % 64;
 
-  const std::int64_t groups =
-      (rows_total + kIgemmVnniMaxRows - 1) / kIgemmVnniMaxRows;
+  const std::int64_t groups = (m + kIgemmVnniMaxRows - 1) / kIgemmVnniMaxRows;
   for (std::int64_t j = 0; j < n; j += 32) {
     const std::int64_t w = std::min<std::int64_t>(32, n - j);
     const bool wide = w > 16;
@@ -1383,13 +1342,12 @@ void igemm_strips_vnni(std::int64_t i0, std::int64_t i1, std::int64_t n,
     const auto last = static_cast<__mmask16>((1u << tail) - 1);
     std::int64_t r = 0;
     for (std::int64_t g = 0; g < groups; ++g) {
-      const std::int64_t rows = (rows_total - r) / (groups - g);
-      const std::int64_t i = i0 + r;
+      const std::int64_t rows = (m - r) / (groups - g);
       const IgemmEpilogue group_ep{
-          ep.scale + i, ep.bias != nullptr ? ep.bias + i : nullptr,
-          ep.prelu != nullptr ? ep.prelu + i : nullptr};
+          ep.scale + r, ep.bias != nullptr ? ep.bias + r : nullptr,
+          ep.prelu != nullptr ? ep.prelu + r : nullptr};
       const std::int32_t* ap = apack.data() + r * kq;
-      float* ct = c + i * n + j;
+      float* ct = c + r * n + j;
       if (wide) {
         igemm_rows_tile_vnni<2>(rows, kq, ap, start + r, bbuf, ct, n, last,
                                 group_ep);
@@ -1402,12 +1360,12 @@ void igemm_strips_vnni(std::int64_t i0, std::int64_t i1, std::int64_t n,
   }
 }
 
-void igemm_rows_vnni(std::int64_t i0, std::int64_t i1, std::int64_t n,
-                     std::int64_t k, const std::int8_t* a,
-                     const std::int8_t* b, float* c, const IgemmEpilogue& ep,
+void igemm_rows_vnni(std::int64_t m, std::int64_t n, std::int64_t k,
+                     const std::int8_t* a, const std::int8_t* b, float* c,
+                     const IgemmEpilogue& ep,
                      std::vector<std::int32_t>& apack,
                      std::vector<std::int16_t>& bpack) {
-  igemm_strips_vnni(i0, i1, n, k, a, c, ep, apack, bpack,
+  igemm_strips_vnni(m, n, k, a, c, ep, apack, bpack,
                     [&](std::int64_t j, std::int64_t kq, std::uint8_t* dst) {
                       igemm_pack_b_vnni(b, n, k, j, kq, dst);
                     });
@@ -1481,7 +1439,7 @@ void iconv_image_vnni(const std::int8_t* image, const std::int64_t* koff,
   thread_local std::vector<std::int32_t> apack;
   thread_local std::vector<std::int16_t> bpack;
   igemm_strips_vnni(
-      0, out_channels, n, k, weight, out, ep, apack, bpack,
+      out_channels, n, k, weight, out, ep, apack, bpack,
       [&](std::int64_t j, std::int64_t kq, std::uint8_t* dst) {
         IconvRun runs[32];
         const int count = plan_iconv_runs(
@@ -1493,31 +1451,6 @@ void iconv_image_vnni(const std::int8_t* image, const std::int64_t* koff,
 #pragma GCC diagnostic pop
 
 #endif  // SNE_GEMM_X86
-
-// Shared panel driver of igemm/igemm_serial: rows [i0, i1) of C at the
-// given tier. `apack`/`bpack` are caller-owned (per-thread) scratch for
-// the vector kernels' pre-packs; the scalar tier does not touch them.
-void igemm_rows(GemmTier tier, std::int64_t i0, std::int64_t i1,
-                std::int64_t n, std::int64_t k, const std::int8_t* a,
-                const std::int8_t* b, float* c, const IgemmEpilogue& ep,
-                std::vector<std::int32_t>& apack,
-                std::vector<std::int16_t>& bpack) {
-#if SNE_GEMM_X86
-  if (tier == GemmTier::Avx2Fma) {
-    // Exact integer accumulation either way, so the same bits; chosen once.
-    using RowsKernel = decltype(&igemm_rows_avx2);
-    static const RowsKernel kernel =
-        cpu_has_avx512_vnni() ? igemm_rows_vnni : igemm_rows_avx2;
-    kernel(i0, i1, n, k, a, b, c, ep, apack, bpack);
-    return;
-  }
-#else
-  (void)tier;
-#endif
-  (void)apack;
-  (void)bpack;
-  igemm_rows_scalar(i0, i1, n, k, a, b, c, ep);
-}
 
 void igemm_check(std::int64_t k, const IgemmEpilogue& ep) {
   if (ep.scale == nullptr) {
@@ -1531,13 +1464,31 @@ void igemm_check(std::int64_t k, const IgemmEpilogue& ep) {
   }
 }
 
+// The sum of sgemm_bt's even and odd chains in its scalar loop. Only the
+// payload of a NaN result depends on the operand order: where both chains
+// are NaN, x86 keeps the first operand's. The order is written out
+// because the compiler's choice in `even + odd` follows its register
+// allocation: Release builds (which target FMA) have kept the odd chain's
+// payload, the -O2 sanitizer builds the even chain's, and the scalar-tier
+// plan digests in tests/infer_parity_test.cpp pin both.
+double chain_sum(double even, double odd) {
+#if SNE_GEMM_X86 && defined(__FMA__)
+  return _mm_cvtsd_f64(_mm_add_sd(_mm_set_sd(odd), _mm_set_sd(even)));
+#elif SNE_GEMM_X86
+  return _mm_cvtsd_f64(_mm_add_sd(_mm_set_sd(even), _mm_set_sd(odd)));
+#else
+  return even + odd;
+#endif
+}
+
 }  // namespace
 
 GemmTier gemm_tier() {
   int t = g_gemm_tier.load(std::memory_order_acquire);
   if (t < 0) {
     int expected = -1;
-    const int resolved = static_cast<int>(resolve_default_tier());
+    const int resolved =
+        static_cast<int>(clamp_to_supported(GemmTier::Avx2Fma));
     if (!g_gemm_tier.compare_exchange_strong(expected, resolved,
                                              std::memory_order_acq_rel)) {
       return static_cast<GemmTier>(expected);
@@ -1568,11 +1519,11 @@ const char* gemm_tier_name(GemmTier tier) noexcept {
   return tier == GemmTier::Avx2Fma ? "avx2" : "scalar";
 }
 
-void sgemm(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-           const float* a, const float* b, float beta, float* c,
+void sgemm(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
+           const float* b, float beta, float* c,
            const GemmEpilogue& epilogue) {
   scale_c(m, n, beta, c);
-  if (alpha == 0.0f || m == 0 || n == 0 || k == 0) {
+  if (m == 0 || n == 0 || k == 0) {
     // No accumulation, but the epilogue still applies to the scaled C.
     if (!epilogue.empty() && m > 0 && n > 0) apply_epilogue(0, m, n, c,
                                                             epilogue);
@@ -1583,40 +1534,35 @@ void sgemm(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
   // applies the epilogue to its own rows), so they distribute across the
   // pool; the k/n blocking inside one panel stays serial, which keeps each
   // C element's accumulation order — and therefore the result bits —
-  // independent of the thread count. alpha != 1 is folded into a scaled
-  // copy of the A panel so the inner kernel stays a pure FMA loop; the
-  // scratch panel is per-thread and reused. The inner kernel is resolved
-  // once per call, so a concurrent set_gemm_tier cannot mix tiers within
-  // one GEMM.
+  // independent of the thread count. The inner kernel is resolved once
+  // per call, so a concurrent set_gemm_tier cannot mix tiers within one
+  // GEMM.
   const BlockKernel kernel = active_block_kernel();
   const std::int64_t num_panels = (m + kBlockM - 1) / kBlockM;
   parallel_for(0, num_panels, [&](std::int64_t panel) {
-    thread_local std::vector<float> a_panel;
     const std::int64_t i0 = panel * kBlockM;
-    sgemm_panel(i0, std::min(kBlockM, m - i0), n, k, alpha, a, b, c, a_panel,
-                kernel, epilogue);
+    sgemm_panel(i0, std::min(kBlockM, m - i0), n, k, a, b, c, kernel,
+                epilogue);
   });
 }
 
-void sgemm_serial(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
+void sgemm_serial(std::int64_t m, std::int64_t n, std::int64_t k,
                   const float* a, const float* b, float beta, float* c,
                   const GemmEpilogue& epilogue) {
   scale_c(m, n, beta, c);
-  if (alpha == 0.0f || m == 0 || n == 0 || k == 0) {
+  if (m == 0 || n == 0 || k == 0) {
     if (!epilogue.empty() && m > 0 && n > 0) apply_epilogue(0, m, n, c,
                                                             epilogue);
     return;
   }
 
-  // Same panels as sgemm, walked on the calling thread. The scratch panel
-  // grows once per thread and is then reused, so steady-state calls do not
+  // Same panels as sgemm, walked on the calling thread, so calls never
   // touch the allocator (the std::function conversion inside parallel_for
   // would; that is why this is not just sgemm with a 1-wide pool).
   const BlockKernel kernel = active_block_kernel();
-  thread_local std::vector<float> a_panel;
   for (std::int64_t i0 = 0; i0 < m; i0 += kBlockM) {
-    sgemm_panel(i0, std::min(kBlockM, m - i0), n, k, alpha, a, b, c, a_panel,
-                kernel, epilogue);
+    sgemm_panel(i0, std::min(kBlockM, m - i0), n, k, a, b, c, kernel,
+                epilogue);
   }
 }
 
@@ -1687,7 +1633,7 @@ void sconv_serial(std::int64_t batch, const float* image,
 
   if (kernel == 1 && stride == 1 && pad == 0) {
     for (std::int64_t i = 0; i < batch; ++i) {
-      sgemm_serial(out_channels, n, k, 1.0f, weight, image + i * chw, 0.0f,
+      sgemm_serial(out_channels, n, k, weight, image + i * chw, 0.0f,
                    out + i * out_stride, epilogue);
     }
     return;
@@ -1715,7 +1661,7 @@ void sconv_serial(std::int64_t batch, const float* image,
           tail_cols[p * tail + l] = at[koff[p]];
         }
       }
-      sgemm_serial(out_channels, tail, k, 1.0f, weight, tail_cols, 0.0f,
+      sgemm_serial(out_channels, tail, k, weight, tail_cols, 0.0f,
                    tail_out, epilogue);
       for (std::int64_t r = 0; r < out_channels; ++r) {
         std::copy(tail_out + r * tail, tail_out + (r + 1) * tail,
@@ -1731,29 +1677,9 @@ void sconv_serial(std::int64_t batch, const float* image,
   for (std::int64_t i = 0; i < batch; ++i) {
     im2col(image + i * chw, channels, height, width, kernel, kernel, pad,
            stride, cols.data());
-    sgemm_serial(out_channels, n, k, 1.0f, weight, cols.data(), 0.0f,
+    sgemm_serial(out_channels, n, k, weight, cols.data(), 0.0f,
                  out + i * out_stride, epilogue);
   }
-}
-
-void igemm(std::int64_t m, std::int64_t n, std::int64_t k,
-           const std::int8_t* a, const std::int8_t* b, float* c,
-           const IgemmEpilogue& epilogue) {
-  igemm_check(k, epilogue);
-  if (m == 0 || n == 0) return;
-
-  // Same decomposition as sgemm: independent row panels of C distributed
-  // across the pool. Unlike the f32 path there is no bitwise caveat to
-  // document per tier — integer accumulation makes any split exact.
-  const GemmTier tier = gemm_tier();
-  const std::int64_t num_panels = (m + kBlockM - 1) / kBlockM;
-  parallel_for(0, num_panels, [&](std::int64_t panel) {
-    thread_local std::vector<std::int32_t> apack;
-    thread_local std::vector<std::int16_t> bpack;
-    const std::int64_t i0 = panel * kBlockM;
-    igemm_rows(tier, i0, std::min(m, i0 + kBlockM), n, k, a, b, c, epilogue,
-               apack, bpack);
-  });
 }
 
 void igemm_serial(std::int64_t m, std::int64_t n, std::int64_t k,
@@ -1762,10 +1688,20 @@ void igemm_serial(std::int64_t m, std::int64_t n, std::int64_t k,
   igemm_check(k, epilogue);
   if (m == 0 || n == 0) return;
 
-  const GemmTier tier = gemm_tier();
-  thread_local std::vector<std::int32_t> apack;
-  thread_local std::vector<std::int16_t> bpack;
-  igemm_rows(tier, 0, m, n, k, a, b, c, epilogue, apack, bpack);
+#if SNE_GEMM_X86
+  if (gemm_tier() == GemmTier::Avx2Fma) {
+    // Exact integer accumulation either way, so the same bits; chosen once.
+    // The pre-pack scratch grows once per thread and is then reused.
+    using RowsKernel = decltype(&igemm_rows_avx2);
+    static const RowsKernel kernel =
+        cpu_has_avx512_vnni() ? igemm_rows_vnni : igemm_rows_avx2;
+    thread_local std::vector<std::int32_t> apack;
+    thread_local std::vector<std::int16_t> bpack;
+    kernel(m, n, k, a, b, c, epilogue, apack, bpack);
+    return;
+  }
+#endif
+  igemm_rows_scalar(m, n, k, a, b, c, epilogue);
 }
 
 void iconv_serial(const std::int8_t* image, std::int64_t channels,
@@ -1802,12 +1738,12 @@ void iconv_serial(const std::int8_t* image, std::int64_t channels,
   igemm_serial(out_channels, n, k, weight, cols.data(), out, epilogue);
 }
 
-void sgemm_at(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-              const float* a, const float* b, float beta, float* c) {
+void sgemm_at(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
+              const float* b, float beta, float* c) {
   // A is stored k×m; transpose blocks of A into a row-major panel, then
   // reuse the same inner kernel.
   scale_c(m, n, beta, c);
-  if (alpha == 0.0f || m == 0 || n == 0 || k == 0) return;
+  if (m == 0 || n == 0 || k == 0) return;
 
   // Same parallel decomposition as sgemm: independent row panels of C,
   // per-thread transpose scratch, serial k accumulation within a panel.
@@ -1823,7 +1759,7 @@ void sgemm_at(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
       for (std::int64_t p = 0; p < kb; ++p) {
         const float* src = a + (p0 + p) * m + i0;
         for (std::int64_t i = 0; i < mb; ++i) {
-          a_panel[static_cast<std::size_t>(i * kb + p)] = alpha * src[i];
+          a_panel[static_cast<std::size_t>(i * kb + p)] = src[i];
         }
       }
       for (std::int64_t j0 = 0; j0 < n; j0 += kBlockN) {
@@ -1835,18 +1771,17 @@ void sgemm_at(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
   });
 }
 
-void sgemm_bt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-              const float* a, const float* b, float beta, float* c) {
+void sgemm_bt(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
+              const float* b, float beta, float* c) {
   // B is stored n×k; with B transposed both operands stream along k, so a
   // dot-product kernel is the cache-friendly choice.
   scale_c(m, n, beta, c);
-  if (alpha == 0.0f || m == 0 || n == 0 || k == 0) return;
+  if (m == 0 || n == 0 || k == 0) return;
 
 #if SNE_GEMM_X86
-  // The same two double chains per output, sixteen outputs at a time. At
-  // alpha == 1 the loop below adds 1 · float(sum) == float(sum), so the
-  // bits agree.
-  if (alpha == 1.0f && gemm_tier() == GemmTier::Avx2Fma) {
+  // The same two double chains per output as the loop below, sixteen
+  // outputs at a time, so the bits agree.
+  if (gemm_tier() == GemmTier::Avx2Fma) {
     sgemm_bt_avx2(m, n, k, a, b, c);
     return;
   }
@@ -1863,7 +1798,7 @@ void sgemm_bt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
         acc1 += static_cast<double>(ai[p + 1]) * bj[p + 1];
       }
       if (p < k) acc0 += static_cast<double>(ai[p]) * bj[p];
-      c[i * n + j] += alpha * static_cast<float>(acc0 + acc1);
+      c[i * n + j] += static_cast<float>(chain_sum(acc0, acc1));
     }
   }
 }

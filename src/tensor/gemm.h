@@ -4,9 +4,11 @@
 // iconv_serial (int8), each direct where the host and shape allow, with
 // the same bits as the im2col lowering (and the pool). These are the hot
 // loops of the whole training pipeline; everything else in the nn library
-// reduces to calls into this file. Two precisions live here: the f32 sgemm family (training and the
-// fp32 serving path) and the s8×s8→s32 igemm family (the quantized
-// serving path; see tensor/qtensor.h for how operands are produced).
+// reduces to calls into this file. Two precisions live here: the f32
+// sgemm family (training and the fp32 serving path), which computes
+// C = A·B + beta·C with no scale on the product, and the s8×s8→s32
+// igemm_serial (the quantized serving path; see tensor/qtensor.h for how
+// operands are produced).
 //
 // The inner panel kernel is runtime-dispatched: a portable scalar kernel
 // (the bit-reference — its accumulation order has never changed and the
@@ -17,13 +19,13 @@
 // bitwise identical across thread counts and repeated runs; across tiers
 // the f32 kernels agree only to float tolerance (the vector kernel
 // re-associates the k reduction), except sgemm_bt, whose double dot
-// products round exactly once per step and so agree bitwise. igemm is
-// bitwise identical even ACROSS tiers — its accumulation is exact integer
-// arithmetic, and the scalar and AVX2 requantization epilogues run the
-// same per-element IEEE operation sequence (convert, fused multiply-add,
-// PReLU select), so they produce the same bits.
-// Force a tier with SNE_GEMM_KERNEL=scalar|avx2|auto or set_gemm_tier();
-// an unrecognized value warns once on stderr and resolves like "auto".
+// products round exactly once per step and so agree bitwise. The int8
+// GEMM is bitwise identical even ACROSS tiers — its accumulation is exact
+// integer arithmetic, and the scalar and AVX2 requantization epilogues
+// run the same per-element IEEE operation sequence (convert, fused
+// multiply-add, PReLU select), so they produce the same bits.
+// The tier is the best one the CPU supports; tests and benchmarks force
+// one with set_gemm_tier().
 #pragma once
 
 #include <cstdint>
@@ -39,9 +41,8 @@ enum class GemmTier {
   Avx2Fma = 1,
 };
 
-/// The tier all GEMM calls currently dispatch to. Resolved once on first
-/// use: SNE_GEMM_KERNEL if set ("scalar" | "avx2" | "auto"), otherwise the
-/// best tier the CPU supports. An unsupported request falls back to Scalar.
+/// The tier all GEMM calls currently dispatch to: the best tier the CPU
+/// supports, resolved once on first use, unless set_gemm_tier overrode it.
 GemmTier gemm_tier();
 
 /// Overrides the dispatch tier for the whole process (test/bench hook).
@@ -52,7 +53,7 @@ void set_gemm_tier(GemmTier tier);
 /// True when the running CPU can execute `tier`.
 bool gemm_tier_supported(GemmTier tier) noexcept;
 
-/// "scalar" / "avx2" — stable names, matching the SNE_GEMM_KERNEL values.
+/// "scalar" / "avx2" — stable names (perfbench's --gemm-tier values).
 const char* gemm_tier_name(GemmTier tier) noexcept;
 
 /// True when the CPU and OS support AVX-512F. The Avx2Fma tier's 512-bit
@@ -75,24 +76,24 @@ struct GemmEpilogue {
   bool empty() const noexcept { return bias == nullptr && prelu == nullptr; }
 };
 
-/// C[m×n] = alpha * A[m×k] · B[k×n] + beta * C, then the epilogue (if any).
+/// C[m×n] = A[m×k] · B[k×n] + beta * C, then the epilogue (if any).
 /// Row-major, contiguous. Cache-blocked with a runtime-dispatched inner
 /// kernel and parallelized across row panels of C on the shared thread pool
 /// (see tensor/thread_pool.h). Each panel's accumulation stays serial, so
 /// within a dispatch tier the result is bitwise identical for any thread
 /// count — determinism of accumulation order is a test invariant.
-void sgemm(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-           const float* a, const float* b, float beta, float* c,
+void sgemm(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
+           const float* b, float beta, float* c,
            const GemmEpilogue& epilogue = {});
 
 /// sgemm with the identical blocking and accumulation order, but guaranteed
-/// never to dispatch to the thread pool and heap-allocation-free after its
-/// per-thread scratch panel has warmed up. Bitwise identical to sgemm at
+/// never to dispatch to the thread pool and never to allocate. Bitwise
+/// identical to sgemm at
 /// the same tier (the parallel version keeps each panel's accumulation
 /// serial). This is the GEMM substrate of the inference path, whose run()
 /// contract is zero allocations after warmup; parallelism there comes from
 /// running whole sessions on separate pool workers instead.
-void sgemm_serial(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
+void sgemm_serial(std::int64_t m, std::int64_t n, std::int64_t k,
                   const float* a, const float* b, float beta, float* c,
                   const GemmEpilogue& epilogue = {});
 
@@ -141,7 +142,7 @@ void sconv_serial(std::int64_t batch, const float* image,
                   std::int64_t out_channels, float* out,
                   const GemmEpilogue& epilogue = {}, bool pool_2x2 = false);
 
-/// C[m×n] = alpha * Aᵀ (A is k×m) · B[k×n] + beta * C.
+/// C[m×n] = Aᵀ (A is k×m) · B[k×n] + beta * C.
 ///
 /// Epilogue fusion is a FORWARD-ONLY contract: the transpose variants
 /// serve the backward pass, where the bias gradient is a reduction of
@@ -150,27 +151,27 @@ void sconv_serial(std::int64_t batch, const float* image,
 /// per-row (bias, PReLU) pass to fuse. The deleted overloads below make
 /// a future backward path that tries to hand one an epilogue fail to
 /// compile instead of silently dropping the bias+PReLU.
-void sgemm_at(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-              const float* a, const float* b, float beta, float* c);
-void sgemm_at(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-              const float* a, const float* b, float beta, float* c,
+void sgemm_at(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
+              const float* b, float beta, float* c);
+void sgemm_at(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
+              const float* b, float beta, float* c,
               const GemmEpilogue&) = delete;
 
-/// C[m×n] = alpha * A[m×k] · Bᵀ (B is n×k) + beta * C. Same forward-only
+/// C[m×n] = A[m×k] · Bᵀ (B is n×k) + beta * C. Same forward-only
 /// epilogue contract as sgemm_at. Each output is a dot product in double,
 /// even k into one chain and odd k into another, each ascending, then
-/// C += alpha · float(their sum). float × float is exact in double, so
-/// every step rounds once whether or not it is fused, and the result is
-/// bitwise the same on every tier, build and thread count. At the Avx2Fma
-/// tier with alpha == 1 the lanes of a vector carry 16 such dot products
+/// C += float(their sum). float × float is exact in double, so every step
+/// rounds once whether or not it is fused, and the result is bitwise the
+/// same on every tier, build and thread count. At the Avx2Fma tier the
+/// lanes of a vector carry 16 such dot products
 /// (along C's rows when n < 16 and m > n, else along its columns) over a
 /// per-thread packed copy of 16 rows of one operand, widened to double;
 /// otherwise one scalar loop runs. Never dispatches to the pool;
 /// allocates nothing once its per-thread strip has grown to 16·k.
-void sgemm_bt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-              const float* a, const float* b, float beta, float* c);
-void sgemm_bt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-              const float* a, const float* b, float beta, float* c,
+void sgemm_bt(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
+              const float* b, float beta, float* c);
+void sgemm_bt(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
+              const float* b, float beta, float* c,
               const GemmEpilogue&) = delete;
 
 /// Requantization epilogue of the int8 GEMM: maps each finished int32
@@ -183,8 +184,8 @@ void sgemm_bt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
 /// apply this run the identical per-element IEEE operation sequence
 /// (int32→f32 convert, fused multiply-add — fmaf in the scalar routine,
 /// vfmaddps in the vector one — then PReLU select), so
-/// requantized outputs are bitwise identical across tiers, thread counts
-/// and reruns — the dispatch test pins the tier equality exactly.
+/// requantized outputs are bitwise identical across tiers and reruns —
+/// the dispatch test pins the tier equality exactly.
 struct IgemmEpilogue {
   const float* scale = nullptr;  ///< per-row requant scale (required)
   const float* bias = nullptr;   ///< per-row additive bias, after scaling
@@ -193,21 +194,22 @@ struct IgemmEpilogue {
 
 /// Accumulator-overflow bound of the int8 GEMM: |acc| ≤ k · 127² must fit
 /// int32, so k may not exceed this. Far above any conv lowering in the
-/// paper's models (their largest k is Cin·kh·kw = 750); igemm throws
+/// paper's models (their largest k is Cin·kh·kw = 750); igemm_serial throws
 /// std::invalid_argument beyond it rather than wrapping silently.
 constexpr std::int64_t kIgemmMaxK = (std::int64_t{1} << 31) / (127 * 127) - 1;
 
 /// C[m×n] = epilogue(A[m×k] · B[k×n]) with A, B int8 and the accumulation
 /// exact in int32 (saturation can only happen in quantize_into when the
 /// operands are produced — never inside the GEMM). C is fully
-/// overwritten. Parallelized across row panels on the shared thread pool;
-/// accumulation order is irrelevant to the result (integer arithmetic is
-/// exact), so the output is bitwise invariant across tiers, thread counts
-/// and reruns — a strictly stronger guarantee than the f32 within-tier
-/// contract. The AVX2 tier deliberately avoids the classic `maddubs`
-/// u8×s8 path: its pairwise i16 sums saturate (2·127·255 > 2¹⁵), which
-/// would silently break exactness. Its AVX2 kernel sign-extends to i16
-/// and uses madd_epi16 on k-pairs instead, which cannot overflow. On
+/// overwritten. Runs on the calling thread — the quantized-serving
+/// analogue of sgemm_serial — and allocates nothing after its per-thread
+/// scratch has warmed up. Accumulation order is irrelevant to the result
+/// (integer arithmetic is exact), so the output is bitwise invariant
+/// across tiers and reruns — a strictly stronger guarantee than the f32
+/// within-tier contract. The AVX2 tier deliberately avoids the classic
+/// `maddubs` u8×s8 path: its pairwise i16 sums saturate (2·127·255 > 2¹⁵),
+/// which would silently break exactness. Its AVX2 kernel sign-extends to
+/// i16 and uses madd_epi16 on k-pairs instead, which cannot overflow. On
 /// AVX-512 VNNI hosts (avx512vnni + avx512bw + avx512vl) the same tier
 /// runs vpdpbusd, which adds u8×s8 k-quads straight into int32 lanes
 /// (nothing saturates): B is shifted to u8 as b + 128 (b ^ 0x80) and each
@@ -216,14 +218,6 @@ constexpr std::int64_t kIgemmMaxK = (std::int64_t{1} << 31) / (127 * 127) - 1;
 /// result is exact even where the shifted sum alone wraps (k > 65,793).
 /// The kernel is chosen once per process and has no setting: it cannot
 /// change a bit.
-void igemm(std::int64_t m, std::int64_t n, std::int64_t k,
-           const std::int8_t* a, const std::int8_t* b, float* c,
-           const IgemmEpilogue& epilogue);
-
-/// igemm guaranteed never to dispatch to the thread pool and
-/// heap-allocation-free after its per-thread scratch has warmed up —
-/// the quantized-serving analogue of sgemm_serial, bitwise identical to
-/// igemm (at any tier).
 void igemm_serial(std::int64_t m, std::int64_t n, std::int64_t k,
                   const std::int8_t* a, const std::int8_t* b, float* c,
                   const IgemmEpilogue& epilogue);
@@ -264,7 +258,7 @@ void im2col(const float* image, std::int64_t channels, std::int64_t height,
             std::int64_t width, std::int64_t kh, std::int64_t kw,
             std::int64_t pad, std::int64_t stride, float* columns);
 
-/// im2col over an already-quantized int8 image, for the igemm conv path.
+/// im2col over an already-quantized int8 image, for the int8 conv path.
 /// Identical traversal and zero padding; ¼ of the byte traffic.
 void im2col_i8(const std::int8_t* image, std::int64_t channels,
                std::int64_t height, std::int64_t width, std::int64_t kh,

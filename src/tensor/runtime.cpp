@@ -82,10 +82,4 @@ void RuntimeConfig::set_current(RuntimeConfig config) {
   }
 }
 
-std::int64_t RuntimeConfig::resolve_prefetch(std::int64_t requested) {
-  if (requested >= 0) return requested;
-  const std::int64_t depth = current().prefetch;
-  return depth >= 0 ? depth : 1;
-}
-
 }  // namespace sne

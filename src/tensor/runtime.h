@@ -1,11 +1,6 @@
 // runtime.h — sne::RuntimeConfig: the one surface for process-wide
 // runtime knobs (pool width, DataLoader prefetch depth, tracing) and the
-// one place their SNE_* environment overrides are resolved. Before this
-// existed the prefetch depth was plumbed separately through
-// TrainConfig::prefetch, SnePipelineConfig::prefetch,
-// DataLoaderConfig::prefetch and an ad-hoc PREFETCH env hook in the
-// joint benches; those fields survive as deprecated aliases whose
-// sentinel default (-1) defers to RuntimeConfig::current().
+// one place their SNE_* environment overrides are resolved.
 #pragma once
 
 #include <cstdint>
@@ -31,9 +26,7 @@ struct RuntimeConfig {
   int threads = 0;
 
   /// Default DataLoader prefetch depth (batches rendered ahead on the
-  /// background thread; 0 = synchronous). Any config whose prefetch
-  /// field is left at its -1 sentinel resolves to this. Env:
-  /// SNE_PREFETCH.
+  /// background thread; 0 = synchronous). Env: SNE_PREFETCH.
   std::int64_t prefetch = 1;
 
   /// Telemetry capture (obs::enable()) on/off. Env: SNE_TRACE — unset,
@@ -65,10 +58,6 @@ struct RuntimeConfig {
   /// Replaces the active config and applies it: resizes the thread pool
   /// and enables/disables telemetry capture.
   static void set_current(RuntimeConfig config);
-
-  /// Resolves a possibly-sentinel prefetch knob: `requested` >= 0 wins,
-  /// anything negative defers to current().prefetch.
-  static std::int64_t resolve_prefetch(std::int64_t requested);
 };
 
 }  // namespace sne

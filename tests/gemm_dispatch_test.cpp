@@ -113,9 +113,9 @@ TEST_P(GemmTierParity, VectorMatchesScalar) {
   Tensor c_vector = c_scalar;
 
   set_gemm_tier(GemmTier::Scalar);
-  sgemm(m, n, k, 1.0f, a.data(), b.data(), 0.2f, c_scalar.data());
+  sgemm(m, n, k, a.data(), b.data(), 0.2f, c_scalar.data());
   set_gemm_tier(GemmTier::Avx2Fma);
-  sgemm(m, n, k, 1.0f, a.data(), b.data(), 0.2f, c_vector.data());
+  sgemm(m, n, k, a.data(), b.data(), 0.2f, c_vector.data());
 
   // The tiers reassociate the k reduction, so agreement is to float
   // tolerance, not bitwise.
@@ -136,9 +136,9 @@ TEST_P(GemmTierParity, SerialDriverMatchesPooledBitwisePerTier) {
     Tensor c_pool({m, n});
     Tensor c_serial({m, n});
     set_num_threads(4);
-    sgemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c_pool.data());
+    sgemm(m, n, k, a.data(), b.data(), 0.0f, c_pool.data());
     set_num_threads(1);
-    sgemm_serial(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c_serial.data());
+    sgemm_serial(m, n, k, a.data(), b.data(), 0.0f, c_serial.data());
     EXPECT_TRUE(c_pool.equals(c_serial)) << gemm_tier_name(tier);
   }
 }
@@ -165,17 +165,17 @@ TEST(GemmDispatch, VectorTierIsThreadCountInvariant) {
 
   Tensor c1({m, n});
   set_num_threads(1);
-  sgemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c1.data());
+  sgemm(m, n, k, a.data(), b.data(), 0.0f, c1.data());
   Tensor c4({m, n});
   set_num_threads(4);
-  sgemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c4.data());
+  sgemm(m, n, k, a.data(), b.data(), 0.0f, c4.data());
   set_num_threads(1);
   EXPECT_TRUE(c1.equals(c4));
 
   // And repeated runs reproduce the same bits: the vector tier has its own
   // determinism pin, independent of the scalar bit-reference.
   Tensor c_again({m, n});
-  sgemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c_again.data());
+  sgemm(m, n, k, a.data(), b.data(), 0.0f, c_again.data());
   EXPECT_TRUE(c1.equals(c_again));
 }
 
@@ -193,7 +193,7 @@ TEST(GemmDispatch, EpilogueBiasPreluMatchesSeparatePassesBitwise) {
     set_gemm_tier(tier);
 
     Tensor c_ref({m, n});
-    sgemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c_ref.data());
+    sgemm(m, n, k, a.data(), b.data(), 0.0f, c_ref.data());
     for (std::int64_t i = 0; i < m; ++i) {
       float* row = c_ref.data() + i * n;
       for (std::int64_t j = 0; j < n; ++j) row[j] += bias[i];
@@ -203,12 +203,12 @@ TEST(GemmDispatch, EpilogueBiasPreluMatchesSeparatePassesBitwise) {
     }
 
     Tensor c_fused({m, n});
-    sgemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c_fused.data(),
+    sgemm(m, n, k, a.data(), b.data(), 0.0f, c_fused.data(),
           GemmEpilogue{bias.data(), slope.data()});
     EXPECT_TRUE(c_fused.equals(c_ref)) << gemm_tier_name(tier);
 
     Tensor c_serial({m, n});
-    sgemm_serial(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c_serial.data(),
+    sgemm_serial(m, n, k, a.data(), b.data(), 0.0f, c_serial.data(),
                  GemmEpilogue{bias.data(), slope.data()});
     EXPECT_TRUE(c_serial.equals(c_ref)) << gemm_tier_name(tier);
   }
@@ -219,7 +219,7 @@ TEST(GemmDispatch, EpilogueStillAppliesOnDegenerateCalls) {
   // on the beta-scaled C.
   const Tensor bias({2}, {1.0f, -2.0f});
   Tensor c({2, 3}, 4.0f);
-  sgemm(2, 3, 0, 1.0f, nullptr, nullptr, 0.5f, c.data(),
+  sgemm(2, 3, 0, nullptr, nullptr, 0.5f, c.data(),
         GemmEpilogue{bias.data(), nullptr});
   for (std::int64_t j = 0; j < 3; ++j) {
     EXPECT_FLOAT_EQ(c.at(0, j), 3.0f);
@@ -324,13 +324,13 @@ TEST(GemmDispatch, Avx2TierBitsMatchGoldenDigest) {
       for (const std::int64_t k : kPinK) {
         const PinCase in(m, n, k);
         std::vector<float> c = in.c0;
-        sgemm(m, n, k, 1.0f, in.a_half.data(), in.b.data(), 1.0f, c.data());
+        sgemm(m, n, k, in.a_half.data(), in.b.data(), 1.0f, c.data());
         mix(c, n);
-        sgemm_serial(m, n, k, 1.0f, in.a.data(), in.b.data(), 0.0f, c.data(),
+        sgemm_serial(m, n, k, in.a.data(), in.b.data(), 0.0f, c.data(),
                      GemmEpilogue{in.bias.data(), in.slope.data()});
         mix(c, n);
         c = in.c0;
-        sgemm_at(m, n, k, 1.0f, in.at_half.data(), in.b.data(), 1.0f,
+        sgemm_at(m, n, k, in.at_half.data(), in.b.data(), 1.0f,
                  c.data());
         mix(c, n);
       }
@@ -379,13 +379,13 @@ TEST(GemmDispatch, Avx2TierVectorColumnsAreFmaChainsInKOrder) {
           }
         }
         std::vector<float> got = in.c0;
-        sgemm(m, n, k, 1.0f, in.a_half.data(), in.b.data(), 1.0f,
+        sgemm(m, n, k, in.a_half.data(), in.b.data(), 1.0f,
               got.data());
         std::vector<float> got_serial = in.c0;
-        sgemm_serial(m, n, k, 1.0f, in.a_half.data(), in.b.data(), 1.0f,
+        sgemm_serial(m, n, k, in.a_half.data(), in.b.data(), 1.0f,
                      got_serial.data());
         std::vector<float> got_at = in.c0;
-        sgemm_at(m, n, k, 1.0f, in.at_half.data(), in.b.data(), 1.0f,
+        sgemm_at(m, n, k, in.at_half.data(), in.b.data(), 1.0f,
                  got_at.data());
         for (std::int64_t j = 0; j < n; ++j) {
           if (!in_vector_region(j, n)) continue;
@@ -495,7 +495,7 @@ TEST(GemmDispatch, SgemmBtMatchesScalarLoopBitwise) {
             sgemm_bt_reference(m, n, k, a.data(), b.data(), beta,
                                want.data());
             std::vector<float> got = c0;
-            sgemm_bt(m, n, k, 1.0f, a.data(), b.data(), beta, got.data());
+            sgemm_bt(m, n, k, a.data(), b.data(), beta, got.data());
             ASSERT_EQ(std::memcmp(got.data(), want.data(),
                                   want.size() * sizeof(float)),
                       0)
@@ -558,7 +558,7 @@ Tensor conv_by_im2col(const ConvCase& s, const ConvOperands& in,
   for (std::int64_t i = 0; i < batch; ++i) {
     im2col(in.x.data() + i * s.cin * s.h * s.w, s.cin, s.h, s.w, kernel,
            kernel, s.pad, s.stride, cols.data());
-    sgemm_serial(s.cout, oh * ow, k, 1.0f, in.weight.data(), cols.data(),
+    sgemm_serial(s.cout, oh * ow, k, in.weight.data(), cols.data(),
                  0.0f, out.data() + i * s.cout * oh * ow, ep);
   }
   return out;
@@ -1132,7 +1132,7 @@ TEST(PointwiseConv, MatchesExplicitIm2colLoweringBitwise) {
   std::vector<float> cols(static_cast<std::size_t>(6 * h * w));
   for (std::int64_t i = 0; i < 3; ++i) {
     im2col(x.data() + i * 6 * h * w, 6, h, w, 1, 1, 0, 1, cols.data());
-    sgemm_serial(9, h * w, 6, 1.0f, conv.weight().value.data(), cols.data(),
+    sgemm_serial(9, h * w, 6, conv.weight().value.data(), cols.data(),
                  0.0f, ref.data() + i * 9 * h * w,
                  GemmEpilogue{conv.bias().value.data(), nullptr});
   }
@@ -1165,7 +1165,7 @@ TEST(PointwiseConv, BackwardMatchesGeneralPath) {
   Tensor gx_ref(x.shape());
   std::vector<float> grad_cols(static_cast<std::size_t>(4 * 36));
   for (std::int64_t i = 0; i < 2; ++i) {
-    sgemm_at(4, 36, 5, 1.0f, conv.weight().value.data(),
+    sgemm_at(4, 36, 5, conv.weight().value.data(),
              gy.data() + i * 5 * 36, 0.0f, grad_cols.data());
     col2im(grad_cols.data(), 4, 6, 6, 1, 1, 0, 1,
            gx_ref.data() + i * 4 * 36);

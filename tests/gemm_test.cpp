@@ -38,7 +38,7 @@ TEST_P(GemmShapes, MatchesNaive) {
   Tensor c_fast = Tensor::randn({m, n}, rng);
   Tensor c_ref = c_fast;
 
-  sgemm(m, n, k, 1.0f, a.data(), b.data(), 0.3f, c_fast.data());
+  sgemm(m, n, k, a.data(), b.data(), 0.3f, c_fast.data());
   naive_gemm(m, n, k, a.data(), b.data(), 0.3f, c_ref.data());
   EXPECT_TRUE(c_fast.allclose(c_ref, 1e-3f))
       << "m=" << m << " n=" << n << " k=" << k;
@@ -57,7 +57,7 @@ TEST_P(GemmShapes, TransposedAMatchesNaive) {
   for (std::int64_t i = 0; i < m; ++i) {
     for (std::int64_t p = 0; p < k; ++p) a.at(i, p) = a_t.at(p, i);
   }
-  sgemm_at(m, n, k, 1.0f, a_t.data(), b.data(), 0.0f, c_fast.data());
+  sgemm_at(m, n, k, a_t.data(), b.data(), 0.0f, c_fast.data());
   naive_gemm(m, n, k, a.data(), b.data(), 0.0f, c_ref.data());
   EXPECT_TRUE(c_fast.allclose(c_ref, 1e-3f));
 }
@@ -74,7 +74,7 @@ TEST_P(GemmShapes, TransposedBMatchesNaive) {
   for (std::int64_t p = 0; p < k; ++p) {
     for (std::int64_t j = 0; j < n; ++j) b.at(p, j) = b_t.at(j, p);
   }
-  sgemm_bt(m, n, k, 1.0f, a.data(), b_t.data(), 0.0f, c_fast.data());
+  sgemm_bt(m, n, k, a.data(), b_t.data(), 0.0f, c_fast.data());
   naive_gemm(m, n, k, a.data(), b.data(), 0.0f, c_ref.data());
   EXPECT_TRUE(c_fast.allclose(c_ref, 1e-3f));
 }
@@ -92,7 +92,7 @@ TEST(Gemm, BetaZeroOverwritesGarbage) {
   const Tensor a = Tensor::randn({4, 4}, rng);
   const Tensor b = Tensor::randn({4, 4}, rng);
   Tensor c({4, 4}, std::numeric_limits<float>::quiet_NaN());
-  sgemm(4, 4, 4, 1.0f, a.data(), b.data(), 0.0f, c.data());
+  sgemm(4, 4, 4, a.data(), b.data(), 0.0f, c.data());
   for (std::int64_t i = 0; i < c.size(); ++i) {
     EXPECT_FALSE(std::isnan(c[i]));
   }
@@ -100,7 +100,7 @@ TEST(Gemm, BetaZeroOverwritesGarbage) {
 
 TEST(Gemm, EmptyKLeavesScaledC) {
   Tensor c({2, 2}, 4.0f);
-  sgemm(2, 2, 0, 1.0f, nullptr, nullptr, 0.5f, c.data());
+  sgemm(2, 2, 0, nullptr, nullptr, 0.5f, c.data());
   for (std::int64_t i = 0; i < c.size(); ++i) EXPECT_FLOAT_EQ(c[i], 2.0f);
 }
 

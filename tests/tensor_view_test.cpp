@@ -2,8 +2,8 @@
 // writes land in the parent buffer), lifetime and bounds guards, the
 // contiguity contract of data(), strided gather/scatter round-trips, and
 // the allocation-free construction pin the batch path and the inference
-// arena rely on. Runs under the asan preset (asan-data) to make the
-// aliasing and lifetime claims real.
+// arena rely on. Runs under the asan preset to make the aliasing and
+// lifetime claims real.
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -111,14 +111,14 @@ TEST(ThreadDeterminism, SgemmBitwiseIdenticalAcrossThreadCounts) {
   set_num_threads(1);
   Tensor c1({m, n});
   Tensor c1t({m, n});
-  sgemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c1.data());
-  sgemm_at(m, n, k, 1.0f, at.data(), b.data(), 0.0f, c1t.data());
+  sgemm(m, n, k, a.data(), b.data(), 0.0f, c1.data());
+  sgemm_at(m, n, k, at.data(), b.data(), 0.0f, c1t.data());
 
   set_num_threads(4);
   Tensor c4({m, n});
   Tensor c4t({m, n});
-  sgemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c4.data());
-  sgemm_at(m, n, k, 1.0f, at.data(), b.data(), 0.0f, c4t.data());
+  sgemm(m, n, k, a.data(), b.data(), 0.0f, c4.data());
+  sgemm_at(m, n, k, at.data(), b.data(), 0.0f, c4t.data());
 
   EXPECT_EQ(std::memcmp(c1.data(), c4.data(),
                         static_cast<std::size_t>(c1.size()) * sizeof(float)),
