@@ -1,9 +1,9 @@
 // env.h — the one place `SNE_*` environment overrides are parsed. Used
 // by the thread pool (SNE_NUM_THREADS), RuntimeConfig (SNE_PREFETCH,
 // SNE_TRACE, SNE_PRECISION) and the bench binaries' scale knobs. Values
-// that fail to parse — including
-// out-of-range ones (ERANGE), which strtoll/strtod would otherwise
-// silently clamp to LLONG_MAX/HUGE_VAL — fall back.
+// that fail to parse — including out-of-range ones (ERANGE), which
+// strtoll/strtod would otherwise silently clamp to LLONG_MAX/HUGE_VAL —
+// fall back.
 #pragma once
 
 #include <cstdint>
