@@ -15,9 +15,6 @@ class Cosmology {
   /// cosmology of SN surveys in the paper's era).
   explicit Cosmology(double hubble_h0 = 70.0, double omega_m = 0.3);
 
-  /// Hubble distance c/H0 in Mpc.
-  double hubble_distance_mpc() const noexcept { return hubble_distance_; }
-
   /// Dimensionless expansion rate E(z) = sqrt(Ω_m(1+z)³ + Ω_Λ).
   double efunc(double z) const;
 

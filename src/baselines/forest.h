@@ -40,7 +40,6 @@ class RandomForest {
   std::vector<float> predict_proba_all(
       const std::vector<std::vector<float>>& features) const;
 
-  bool is_fitted() const noexcept { return !trees_.empty(); }
   std::int64_t num_features() const noexcept { return num_features_; }
 
  private:

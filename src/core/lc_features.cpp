@@ -71,13 +71,4 @@ nn::LazyDataset make_lc_feature_dataset(const sim::SnDataset& data,
   return nn::LazyDataset(n, std::move(generator), nn::BatchMode::Parallel);
 }
 
-Tensor labels_for(const sim::SnDataset& data,
-                  const std::vector<std::int64_t>& indices) {
-  Tensor y({static_cast<std::int64_t>(indices.size()), 1});
-  for (std::size_t k = 0; k < indices.size(); ++k) {
-    y[static_cast<std::int64_t>(k)] = data.is_ia(indices[k]) ? 1.0f : 0.0f;
-  }
-  return y;
-}
-
 }  // namespace sne::core

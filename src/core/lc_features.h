@@ -49,8 +49,4 @@ nn::LazyDataset make_lc_feature_dataset(const sim::SnDataset& data,
                                         std::vector<std::int64_t> indices,
                                         const FeatureConfig& config);
 
-/// Binary labels (1 = SNIa) for the given indices, shape [n, 1].
-Tensor labels_for(const sim::SnDataset& data,
-                  const std::vector<std::int64_t>& indices);
-
 }  // namespace sne::core

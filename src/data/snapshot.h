@@ -82,10 +82,6 @@ class SnapshotDataset final : public nn::Dataset {
 
   const SnapshotInfo& info() const noexcept { return info_; }
 
-  /// True when the payload is an mmap of the file (false on the
-  /// read-into-memory fallback).
-  bool mapped() const noexcept { return map_base_ != nullptr; }
-
  private:
   const float* record(std::int64_t index) const;
 

@@ -1,6 +1,5 @@
 #include "eval/tables.h"
 
-#include <fstream>
 #include <iomanip>
 #include <sstream>
 #include <stdexcept>
@@ -84,13 +83,6 @@ std::string fmt(double value, int precision) {
 
 std::string fmt_pm(double mean, double std, int precision) {
   return fmt(mean, precision) + " ± " + fmt(std, precision);
-}
-
-void write_file(const std::string& path, const std::string& contents) {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("write_file: cannot open " + path);
-  os << contents;
-  if (!os) throw std::runtime_error("write_file: write failed for " + path);
 }
 
 std::string series_to_tsv(const std::vector<double>& x,

@@ -35,9 +35,6 @@ std::string fmt(double value, int precision = 4);
 /// Formats "mean ± std".
 std::string fmt_pm(double mean, double std, int precision = 3);
 
-/// Writes a string to a file, throwing on failure.
-void write_file(const std::string& path, const std::string& contents);
-
 /// Renders an (x, y) series as "x<TAB>y" lines — the figure-series dump
 /// format consumed by EXPERIMENTS.md plots.
 std::string series_to_tsv(const std::vector<double>& x,

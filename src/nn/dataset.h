@@ -93,7 +93,6 @@ class LazyDataset final : public Dataset {
   void get_batch_into(const std::vector<std::int64_t>& indices,
                       std::size_t first, std::size_t count,
                       Sample& out) const override;
-  BatchMode batch_mode() const noexcept { return mode_; }
 
  private:
   std::int64_t n_;

@@ -1,7 +1,6 @@
 #include "nn/trainer.h"
 
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -23,15 +22,6 @@ DataLoaderConfig sequential_loader_config(std::int64_t batch_size) {
 }
 
 }  // namespace
-
-EpochSink stdout_epoch_sink() {
-  return [](const EpochStats& stats) {
-    std::printf("epoch %3lld  train_loss %.5f  val_loss %.5f\n",
-                static_cast<long long>(stats.epoch), stats.train_loss,
-                stats.val_loss);
-    std::fflush(stdout);
-  };
-}
 
 Trainer::Trainer(Module& model, Optimizer& optimizer, LossFn loss,
                  MetricFn metric)

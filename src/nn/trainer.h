@@ -39,14 +39,9 @@ struct EpochStats {
 };
 
 /// Epoch-event sink: fit() invokes it after every epoch with the fresh
-/// statistics. The library never writes to stdout itself — attach
-/// stdout_epoch_sink() (or your own progress bar / logger) to observe
-/// training.
+/// statistics. The library never writes to stdout itself — attach a
+/// progress bar or logger to observe training.
 using EpochSink = std::function<void(const EpochStats&)>;
-
-/// The classic one-line-per-epoch stdout reporter
-/// ("epoch %3d  train_loss %.5f  val_loss %.5f").
-EpochSink stdout_epoch_sink();
 
 struct TrainConfig {
   std::int64_t epochs = 10;

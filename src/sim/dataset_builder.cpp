@@ -165,35 +165,6 @@ FluxMeasurement SnDataset::measured_point(std::int64_t i, astro::Band b,
                             config_.renderer.noise, rng);
 }
 
-std::vector<Tensor> SnDataset::reference_images(
-    const std::vector<std::int64_t>& samples, astro::Band b) const {
-  obs::Span span("sim.reference_images",
-                 static_cast<std::int64_t>(samples.size()));
-  stamps_counter().add(static_cast<std::int64_t>(samples.size()));
-  std::vector<Tensor> out(samples.size());
-  parallel_for(0, static_cast<std::int64_t>(samples.size()),
-               [&](std::int64_t k) {
-                 out[static_cast<std::size_t>(k)] = reference_image(
-                     samples[static_cast<std::size_t>(k)], b);
-               });
-  return out;
-}
-
-std::vector<Tensor> SnDataset::observation_images(
-    const std::vector<std::int64_t>& samples, astro::Band b,
-    std::int64_t e) const {
-  obs::Span span("sim.observation_images",
-                 static_cast<std::int64_t>(samples.size()));
-  stamps_counter().add(static_cast<std::int64_t>(samples.size()));
-  std::vector<Tensor> out(samples.size());
-  parallel_for(0, static_cast<std::int64_t>(samples.size()),
-               [&](std::int64_t k) {
-                 out[static_cast<std::size_t>(k)] = observation_image(
-                     samples[static_cast<std::size_t>(k)], b, e);
-               });
-  return out;
-}
-
 std::vector<Tensor> SnDataset::matched_reference_images(
     const std::vector<std::int64_t>& samples, astro::Band b,
     std::int64_t e) const {

@@ -124,15 +124,6 @@ class SnDataset {
   // calls for any thread count: every stamp draws from its own
   // mix64-derived RNG stream and the renderer is stateless.
 
-  /// Batched reference_image.
-  std::vector<Tensor> reference_images(
-      const std::vector<std::int64_t>& samples, astro::Band b) const;
-
-  /// Batched observation_image.
-  std::vector<Tensor> observation_images(
-      const std::vector<std::int64_t>& samples, astro::Band b,
-      std::int64_t e) const;
-
   /// Batched matched_reference_image.
   std::vector<Tensor> matched_reference_images(
       const std::vector<std::int64_t>& samples, astro::Band b,

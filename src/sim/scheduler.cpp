@@ -15,16 +15,6 @@ std::vector<Observation> Schedule::band_observations(astro::Band b) const {
   return out;
 }
 
-double Schedule::first_mjd() const {
-  if (observations.empty()) throw std::logic_error("Schedule: empty");
-  return observations.front().mjd;
-}
-
-double Schedule::last_mjd() const {
-  if (observations.empty()) throw std::logic_error("Schedule: empty");
-  return observations.back().mjd;
-}
-
 Schedule make_schedule(const ScheduleConfig& config, Rng& rng) {
   if (config.epochs_per_band <= 0 || config.season_days <= 0.0 ||
       config.max_bands_per_day <= 0) {

@@ -35,10 +35,6 @@ struct Schedule {
 
   /// Observations of one band, in time order.
   std::vector<Observation> band_observations(astro::Band b) const;
-
-  /// Earliest / latest observation epoch.
-  double first_mjd() const;
-  double last_mjd() const;
 };
 
 struct ScheduleConfig {

@@ -89,13 +89,6 @@ void quantize_into(const float* x, std::int64_t n, float inv_scale,
   for (std::int64_t i = 0; i < n; ++i) out[i] = quantize_one(x[i], inv_scale);
 }
 
-void dequantize_into(const std::int8_t* q, std::int64_t n, float scale,
-                     float* out) noexcept {
-  for (std::int64_t i = 0; i < n; ++i) {
-    out[i] = static_cast<float>(q[i]) * scale;
-  }
-}
-
 QTensor quantize_per_channel(const Tensor& t) {
   if (t.rank() == 0) {
     throw std::invalid_argument("quantize_per_channel: rank-0 tensor");
@@ -123,18 +116,6 @@ QTensor quantize_per_channel(const Tensor& t) {
                   q.data.data() + c * per_channel);
   }
   return q;
-}
-
-Tensor dequantize(const QTensor& q) {
-  if (q.shape.empty()) return Tensor();
-  Tensor t(q.shape);
-  const std::int64_t channels = q.channels();
-  const std::int64_t per_channel = t.size() / channels;
-  for (std::int64_t c = 0; c < channels; ++c) {
-    dequantize_into(q.data.data() + c * per_channel, per_channel,
-                    q.scales[c], t.data() + c * per_channel);
-  }
-  return t;
 }
 
 }  // namespace sne

@@ -32,10 +32,6 @@ float max_abs(const float* x, std::int64_t n) noexcept;
 void quantize_into(const float* x, std::int64_t n, float inv_scale,
                    std::int8_t* out) noexcept;
 
-/// Dequantizes n int8 values with a fixed scale: out[i] = q[i] * scale.
-void dequantize_into(const std::int8_t* q, std::int64_t n, float scale,
-                     float* out) noexcept;
-
 /// Dense row-major int8 tensor with per-channel (axis 0) dequantization
 /// scales. `data.size() == numel(shape)` and `scales` is [shape[0]].
 /// Like Tensor it owns its storage; unlike Tensor it is a plain struct —
@@ -60,8 +56,5 @@ struct QTensor {
 /// quantize_into(t[c, ...], 127 / max|t[c, ...]|). Throws on rank 0 and
 /// on non-finite input (a NaN/Inf weight has no meaningful int8 image).
 QTensor quantize_per_channel(const Tensor& t);
-
-/// Inverse map (up to rounding): out[c, ...] = q.data[c, ...] * scale_c.
-Tensor dequantize(const QTensor& q);
 
 }  // namespace sne

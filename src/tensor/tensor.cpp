@@ -165,7 +165,6 @@ Tensor Tensor::reshaped(Shape new_shape) && {
 
 TensorView Tensor::view() { return TensorView(*this); }
 ConstTensorView Tensor::view() const { return ConstTensorView(*this); }
-ConstTensorView Tensor::cview() const { return ConstTensorView(*this); }
 
 TensorView Tensor::slice(std::int64_t axis, std::int64_t begin,
                          std::int64_t end) {

@@ -92,8 +92,6 @@ class Tensor {
   /// resize, assignment, move-from, destruction.
   TensorView view();
   ConstTensorView view() const;
-  /// Explicitly-const spelling for use on mutable tensors.
-  ConstTensorView cview() const;
 
   /// Convenience: view().slice(axis, begin, end).
   TensorView slice(std::int64_t axis, std::int64_t begin, std::int64_t end);
