@@ -169,8 +169,14 @@ void BM_SgemmBtShape(benchmark::State& state) {
 }
 BENCHMARK(BM_SgemmBtShape)->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1}});
 
-// The conv steps of the joint and tier-1 models, which the pooled and
-// int8 conv benchmarks below run.
+// The whole fp32 conv step at the same shapes, one image with the folded
+// bias + PReLU epilogue and no pool: second arg 0 is the im2col lowering
+// (im2col, then sgemm_serial), 1 is sconv_serial's plain output (what
+// calibrate() runs; the plan's steps pool, see BM_ConvPoolStepShape below).
+// On an AVX-512F host at the avx2 tier,
+// sconv_serial runs its direct kernel on every shape here; tier1_conv0's
+// 289th pixel goes through sgemm_serial's scalar-tail loops on a one-column
+// slab, as in the im2col lowering. Both produce the same bits.
 struct ConvStepShape {
   const char* name;
   std::int64_t cin, size, cout;  // kernel 5, stride 1, no pad
@@ -181,13 +187,47 @@ constexpr ConvStepShape kConvStepShapes[] = {
     {"tier1_conv2", 8, 8, 16},
 };
 
-// Each conv step with the 2×2 max-pool after it, over the batch the plans
-// run per call (one joint batch of 32 rows is 160 stamps; tier-1 scores 64
-// alerts at a time): second arg 0 is the plain sconv_serial (the im2col
-// lowering) followed by MaxPool2d::infer_into, which writes the whole conv
-// plane and reads it back; 1 is sconv_serial's pooled output, which folds
-// each window in registers on AVX-512F hosts at the avx2 tier. Both
-// produce the same bits.
+void BM_ConvStepShape(benchmark::State& state) {
+  const ConvStepShape& s = kConvStepShapes[state.range(0)];
+  const bool entry = state.range(1) != 0;
+  constexpr std::int64_t kKernel = 5;
+  const std::int64_t out = s.size - kKernel + 1;
+  const std::int64_t n = out * out;
+  const std::int64_t k = s.cin * kKernel * kKernel;
+  Rng rng(1);
+  const Tensor x = Tensor::randn({s.cin, s.size, s.size}, rng);
+  const Tensor w = Tensor::randn({s.cout, k}, rng);
+  const Tensor bias = Tensor::randn({s.cout}, rng);
+  const Tensor slope({s.cout}, 0.25f);
+  const GemmEpilogue ep{bias.data(), slope.data()};
+  std::vector<float> cols(static_cast<std::size_t>(k * n));
+  Tensor y({s.cout, n});
+  for (auto _ : state) {
+    if (entry) {
+      sconv_serial(1, x.data(), s.cin, s.size, s.size, kKernel, 0, 1,
+                   w.data(), s.cout, y.data(), ep);
+    } else {
+      im2col(x.data(), s.cin, s.size, s.size, kKernel, kKernel, 0, 1,
+             cols.data());
+      sgemm_serial(s.cout, n, k, w.data(), cols.data(), 0.0f, y.data(),
+                   ep);
+    }
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * s.cout * n * k);
+  state.SetLabel(std::string(s.name) + (entry ? " sconv_serial" : " im2col") +
+                 " " + gemm_tier_name(gemm_tier()));
+}
+BENCHMARK(BM_ConvStepShape)->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1}});
+
+// Each conv step of the same shapes with the 2×2 max-pool after it, over
+// the batch the plans run per call (one joint batch of 32 rows is 160
+// stamps; tier-1 scores 64 alerts at a time): second arg 0 is the plain
+// sconv_serial followed by MaxPool2d::infer_into (the plan before pool
+// fusion, which writes the whole conv plane and reads it back), 1 is
+// sconv_serial's pooled output, which folds each window in registers on
+// AVX-512F hosts at the avx2 tier. Both produce the same bits.
 void BM_ConvPoolStepShape(benchmark::State& state) {
   const ConvStepShape& s = kConvStepShapes[state.range(0)];
   const bool fused = state.range(1) != 0;

@@ -122,9 +122,9 @@ void Conv2d::infer_with(const Tensor& weight, const Tensor& bias,
 
   // Bias — and, when the planner fused the following activation, the
   // per-channel PReLU — run in the GEMM epilogue, bitwise identical to the
-  // separate passes they replace. sconv_serial picks the lowering (pooled
-  // direct kernel, 1×1 pass-through or im2col + GEMM) from the tier, the
-  // CPU and the shape, with the same bits every way; it runs serially and
+  // separate passes they replace. sconv_serial picks the lowering (direct
+  // kernel, 1×1 pass-through or im2col + GEMM) from the tier, the CPU and
+  // the shape, with the same bits every way; it runs serially and
   // allocates nothing after warmup. Concurrency on the inference path
   // comes from running independent sessions on separate workers.
   const GemmEpilogue ep{bias.data(),

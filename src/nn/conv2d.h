@@ -1,14 +1,15 @@
 // conv2d.h — 2-d convolution, the workhorse of the paper's band-wise CNN
 // (three 5×5 convolution stages, Fig. 7). Training lowers it to im2col +
 // GEMM, the standard lowering on CPU. Serving (infer_with) calls
-// sconv_serial, which lowers the plain output through im2col + GEMM too.
-// With the pool flag the same call writes the 2×2 max-pool of the output,
-// bitwise equal to a MaxPool2d(2) after it — the inference plan sets it
-// for each conv stage of the band-wise CNN — and on AVX-512F hosts at the
-// Avx2Fma tier convolves stride-1, unpadded inputs in place, without the
-// column matrix, with the same bits (see tensor/gemm.h). Quantized
-// serving (infer_quantized) calls iconv_serial, which convolves int8
-// inputs in place on AVX-512 VNNI hosts at every stride-1, unpadded shape.
+// sconv_serial, which on AVX-512F hosts at the Avx2Fma tier convolves
+// stride-1, unpadded inputs in place, without the column matrix, and
+// lowers every other case through im2col + GEMM; both produce the same
+// bits (see tensor/gemm.h). With the pool flag the same call writes the
+// 2×2 max-pool of the output, bitwise equal to a MaxPool2d(2) after it —
+// the inference plan sets it for each conv stage of the band-wise CNN.
+// Quantized serving
+// (infer_quantized) calls iconv_serial, which does the same for int8 on
+// AVX-512 VNNI hosts at every stride-1, unpadded shape.
 #pragma once
 
 #include <vector>
@@ -53,11 +54,11 @@ class Conv2d final : public Module {
   /// separate PReLU pass over the conv output. With `pool_2x2`, `out`
   /// becomes [N, Cout, ⌊H'/2⌋, ⌊W'/2⌋], the 2×2/stride-2 max-pool of that
   /// output, bitwise equal to running MaxPool2d(2)::infer_into after it
-  /// (H', W' ≥ 2). Runs sconv_serial: im2col + sgemm_serial, or for a
-  /// pooled output a direct kernel (AVX-512F host, Avx2Fma tier, stride 1,
-  /// no pad) that reads the input in place and folds the pool windows in
-  /// registers with the same bits (see tensor/gemm.h). Serial and
-  /// allocation-free after warmup.
+  /// (H', W' ≥ 2). Runs sconv_serial, whose direct kernel (AVX-512F host,
+  /// Avx2Fma tier, stride 1, no pad) reads the input in place and folds
+  /// the pool windows in registers; it keeps the bits of im2col +
+  /// sgemm_serial (see tensor/gemm.h). Serial and allocation-free after
+  /// warmup.
   void infer_with(const Tensor& weight, const Tensor& bias, ConstTensorView x,
                   Tensor& out, const Tensor* prelu = nullptr,
                   bool pool_2x2 = false) const;

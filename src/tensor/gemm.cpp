@@ -386,34 +386,41 @@ __attribute__((target("avx512f"))) void gemm_block_avx512(
   }
 }
 
-// Direct stride-1, unpadded convolution fused with its 2×2/stride-2 max
-// pool on AVX-512F: im2col's column matrix is never built. Output pixel
-// (oy, ox) reads tap p = (ci, ky, kx) at image offset koff[p] + oy·W + ox,
-// so each lane's offset is fixed for the whole k loop and the B vector for
-// tap p is the image at koff[p] plus those offsets.
+// Direct stride-1, unpadded convolution on AVX-512F: im2col's column
+// matrix is never built. Output pixel (oy, ox) reads tap p = (ci, ky, kx)
+// at image offset koff[p] + oy·W + ox, so each lane's offset is fixed for
+// the whole k loop and the B vector for tap p is the image at koff[p]
+// plus those offsets.
 //
-// Each strip folds the 2×2 windows of its finished outputs in registers
-// and stores only the pooled values. The fold is maxpool_2x2's rule (see
-// tensor/pool.h) lane by lane, in its order: top-left, top-right,
-// bottom-left, bottom-right. Wide planes (out_w ≥ 16) run strips of rows
-// 2py and 2py + 1 × 16 columns, each row one masked contiguous load per
-// tap: the even lanes of each row are window top-lefts / bottom-lefts and
-// the odd lanes the right corners, giving 8 pooled outputs. Narrow planes
-// run one vector per strip that orders its lanes by corner: lanes 0–3 are
-// the top-lefts of four windows, 4–7 their top-rights, 8–11 the
-// bottom-lefts, 12–15 the bottom-rights. Each tap's lanes are gathered
+// A strip is up to two 16-lane vectors of outputs. Wide planes
+// (out_w ≥ 16) run strips of two output rows × 16 columns, each vector
+// one masked contiguous load per tap (a row's last chunk masked), or one
+// row when an odd out_h leaves it alone. Narrow planes run one vector per
+// strip whose 16 lanes span several rows: each tap's lanes are gathered
 // once per strip into a per-thread slab (k × 16), which every row group
 // then reads with plain loads.
+//
+// Pooled strips fold each 2×2 window of the finished outputs in registers
+// and store only the pooled values. The fold is maxpool_2x2's rule (see
+// tensor/pool.h) lane by lane, in its order: top-left, top-right,
+// bottom-left, bottom-right. A wide pooled strip is rows 2py and 2py + 1
+// of 16 columns: the even lanes of each row are window top-lefts /
+// bottom-lefts and the odd lanes the right corners, giving 8 pooled
+// outputs. A narrow pooled strip orders its lanes by corner: lanes 0–3
+// are the top-lefts of four windows, 4–7 their top-rights, 8–11 the
+// bottom-lefts, 12–15 the bottom-rights.
 enum class ConvStore {
-  PoolRows,     ///< wide: two row vectors → 8 pooled outputs
-  PoolCorners,  ///< narrow: one corner-ordered slab vector → 4 outputs
+  Plain,        ///< each vector's lanes to their output pixels
+  PoolRows,     ///< wide: the two row vectors → 8 pooled outputs
+  PoolCorners,  ///< narrow: the corner-ordered vector → 4 pooled outputs
 };
 
 struct ConvStrip {
-  std::int64_t src[2] = {};    ///< image offset of each row's lane 0 (wide)
-  std::int64_t dst = 0;        ///< out offset of the first pooled output
-  std::uint16_t mask = 0;      ///< live lanes of each row's loads (wide)
-  std::uint16_t pooled = 0;    ///< live pooled outputs
+  std::int64_t src[2] = {};   ///< image offset of lane 0 (wide strips)
+  std::int64_t dst[2] = {};   ///< out offset of lane 0, or of the first
+                              ///< pooled output (vector 0)
+  std::uint16_t mask[2] = {};  ///< live lanes: loads and plain stores
+  std::uint16_t pooled = 0;    ///< live pooled outputs (pooled stores)
   const float* slab = nullptr;  ///< narrow strips: tap p at slab + 16·p
 };
 
@@ -466,14 +473,13 @@ __attribute__((target("avx512f"))) inline __m512 pool_corners_avx512(
 // R output channels × one strip, the whole k reduction in registers: each
 // output is one FMA chain over k ascending from +0 (what sgemm_serial at
 // beta 0 computes in its vector columns), then the bias add and the PReLU
-// select of apply_epilogue, then the pooled store. PoolRows strips read
-// their taps from the image, PoolCorners strips from the slab.
-template <int R, ConvStore S>
+// select of apply_epilogue, then the store (pooled or not). kSlab strips
+// read their taps from the slab, the others from the image.
+template <int R, int V, bool kSlab, ConvStore S>
 __attribute__((target("avx512f"))) void conv_tile_avx512(
     std::int64_t k, const std::int64_t* koff, const float* image,
     const ConvStrip& s, const float* w, const float* bias,
     const float* prelu, float* out, std::int64_t ldo) {
-  constexpr int V = S == ConvStore::PoolRows ? 2 : 1;
   __m512 acc[R][V];
 #pragma GCC unroll 12
   for (int r = 0; r < R; ++r) {
@@ -484,10 +490,10 @@ __attribute__((target("avx512f"))) void conv_tile_avx512(
     __m512 bv[V];
 #pragma GCC unroll 2
     for (int v = 0; v < V; ++v) {
-      if constexpr (S == ConvStore::PoolCorners) {
+      if constexpr (kSlab) {
         bv[v] = _mm512_loadu_ps(s.slab + 16 * p);
       } else {
-        bv[v] = _mm512_maskz_loadu_ps(s.mask, image + koff[p] + s.src[v]);
+        bv[v] = _mm512_maskz_loadu_ps(s.mask[v], image + koff[p] + s.src[v]);
       }
     }
 #pragma GCC unroll 12
@@ -514,11 +520,16 @@ __attribute__((target("avx512f"))) void conv_tile_avx512(
       acc[r][v] = y;
     }
     float* row = out + r * ldo;
-    if constexpr (S == ConvStore::PoolRows) {
-      _mm512_mask_storeu_ps(row + s.dst, s.pooled,
-                            pool_rows_avx512(acc[r][0], acc[r][1]));
+    if constexpr (S == ConvStore::Plain) {
+#pragma GCC unroll 2
+      for (int v = 0; v < V; ++v) {
+        _mm512_mask_storeu_ps(row + s.dst[v], s.mask[v], acc[r][v]);
+      }
+    } else if constexpr (S == ConvStore::PoolRows) {
+      _mm512_mask_storeu_ps(row + s.dst[0], s.pooled,
+                            pool_rows_avx512(acc[r][0], acc[r][V - 1]));
     } else {
-      _mm512_mask_storeu_ps(row + s.dst, s.pooled,
+      _mm512_mask_storeu_ps(row + s.dst[0], s.pooled,
                             pool_corners_avx512(acc[r][0]));
     }
   }
@@ -526,7 +537,7 @@ __attribute__((target("avx512f"))) void conv_tile_avx512(
 
 // One strip over the m output channels, in the near-equal groups of at
 // most 12 rows of gemm_block_avx512.
-template <ConvStore S>
+template <int V, bool kSlab, ConvStore S>
 __attribute__((target("avx512f"))) void conv_strip_avx512(
     std::int64_t m, std::int64_t k, const std::int64_t* koff,
     const float* image, const ConvStrip& s, const float* w,
@@ -539,16 +550,18 @@ __attribute__((target("avx512f"))) void conv_strip_avx512(
     const float* bias = ep.bias != nullptr ? ep.bias + i : nullptr;
     const float* prelu = ep.prelu != nullptr ? ep.prelu + i : nullptr;
     float* oi = out + i * ldo;
-#define SNE_CONV_TILE(R)                                                \
-  case R:                                                               \
-    conv_tile_avx512<R, S>(k, koff, image, s, wi, bias, prelu, oi, ldo); \
+#define SNE_CONV_TILE(R)                                                     \
+  case R:                                                                    \
+    conv_tile_avx512<R, V, kSlab, S>(k, koff, image, s, wi, bias, prelu, oi, \
+                                     ldo);                                   \
     break;
     switch (rows) {
       SNE_CONV_TILE(1) SNE_CONV_TILE(2) SNE_CONV_TILE(3) SNE_CONV_TILE(4)
       SNE_CONV_TILE(5) SNE_CONV_TILE(6) SNE_CONV_TILE(7) SNE_CONV_TILE(8)
       SNE_CONV_TILE(9) SNE_CONV_TILE(10) SNE_CONV_TILE(11)
       default:
-        conv_tile_avx512<12, S>(k, koff, image, s, wi, bias, prelu, oi, ldo);
+        conv_tile_avx512<12, V, kSlab, S>(k, koff, image, s, wi, bias, prelu,
+                                          oi, ldo);
     }
 #undef SNE_CONV_TILE
     i += rows;
@@ -559,50 +572,79 @@ std::uint16_t low_lanes(std::int64_t count) {
   return static_cast<std::uint16_t>((1u << count) - 1u);
 }
 
-// One image of out = the 2×2/stride-2 max-pool of
-// epilogue(w[m × k] · columns), m × ⌊out_h/2⌋ × ⌊out_w/2⌋, the columns
-// read in place through koff. Wide planes run row-pair strips of 16
-// columns, strips outermost so each one's image rows stay in L1 while the
-// row groups stream the weights. Narrow planes gather each strip's taps
-// into the slab first. Gather offsets are int32 (the caller keeps the
-// image within range).
+// One image of out[m × ldo] = epilogue(w[m × k] · columns), the columns
+// read in place through koff; with `pool`, the 2×2/stride-2 max-pool of
+// that output instead (⌊out_h/2⌋ × ⌊out_w/2⌋ per channel, ldo apart).
+// Wide planes run row-pair strips of 16 columns, strips outermost so each
+// one's image rows stay in L1 while the row groups stream the weights.
+// Narrow planes gather each strip's taps into the slab first. Gather
+// offsets are int32 (the caller keeps the image within range).
 __attribute__((target("avx512f"))) void conv_image_avx512(
     std::int64_t m, std::int64_t k, const std::int64_t* koff,
     const float* image, std::int64_t width, std::int64_t out_h,
-    std::int64_t out_w, const float* w, const GemmEpilogue& ep, float* out) {
+    std::int64_t out_w, bool pool, std::int64_t ldo, const float* w,
+    const GemmEpilogue& ep, float* out) {
   const std::int64_t ph = out_h / 2;
   const std::int64_t pw = out_w / 2;
-  const std::int64_t ldo = ph * pw;
   ConvStrip s;
   if (out_w >= 16) {
-    for (std::int64_t py = 0; py < ph; ++py) {
-      for (std::int64_t x = 0; x < 2 * pw; x += 16) {
-        const std::int64_t cols = std::min<std::int64_t>(16, 2 * pw - x);
-        s.src[0] = 2 * py * width + x;
+    if (pool) {
+      for (std::int64_t py = 0; py < ph; ++py) {
+        for (std::int64_t x = 0; x < 2 * pw; x += 16) {
+          const std::int64_t cols = std::min<std::int64_t>(16, 2 * pw - x);
+          s.src[0] = 2 * py * width + x;
+          s.src[1] = s.src[0] + width;
+          s.mask[0] = s.mask[1] = low_lanes(cols);
+          s.dst[0] = py * pw + x / 2;
+          s.pooled = low_lanes(cols / 2);
+          conv_strip_avx512<2, false, ConvStore::PoolRows>(
+              m, k, koff, image, s, w, ep, out, ldo);
+        }
+      }
+      return;
+    }
+    for (std::int64_t y = 0; y < out_h; y += 2) {
+      for (std::int64_t x = 0; x < out_w; x += 16) {
+        const std::int64_t cols = std::min<std::int64_t>(16, out_w - x);
+        s.src[0] = y * width + x;
         s.src[1] = s.src[0] + width;
-        s.mask = low_lanes(cols);
-        s.dst = py * pw + x / 2;
-        s.pooled = low_lanes(cols / 2);
-        conv_strip_avx512<ConvStore::PoolRows>(m, k, koff, image, s, w, ep,
-                                               out, ldo);
+        s.dst[0] = y * out_w + x;
+        s.dst[1] = s.dst[0] + out_w;
+        s.mask[0] = s.mask[1] = low_lanes(cols);
+        if (y + 1 < out_h) {
+          conv_strip_avx512<2, false, ConvStore::Plain>(m, k, koff, image, s,
+                                                        w, ep, out, ldo);
+        } else {
+          conv_strip_avx512<1, false, ConvStore::Plain>(m, k, koff, image, s,
+                                                        w, ep, out, ldo);
+        }
       }
     }
     return;
   }
-  // Narrow: strip j covers windows 4j…
+  // Narrow: strip j covers outputs 16j… (plain) or windows 4j… (pooled).
   thread_local std::vector<float> slab;  // grow-only, k × 16
   slab.resize(static_cast<std::size_t>(16 * k));
   s.slab = slab.data();
-  const std::int64_t windows = ph * pw;
-  for (std::int64_t u = 0; u < windows; u += 4) {
-    const std::int64_t live = std::min<std::int64_t>(4, windows - u);
+  const std::int64_t units = pool ? ph * pw : out_h * out_w;
+  const std::int64_t per_strip = pool ? 4 : 16;
+  for (std::int64_t u = 0; u < units; u += per_strip) {
+    const std::int64_t live = std::min(per_strip, units - u);
     alignas(64) std::int32_t index[16] = {};
     std::uint16_t lanes = 0;
     for (int l = 0; l < 16; ++l) {
-      if (l % 4 >= live) continue;
-      const std::int64_t win = u + l % 4;
-      const std::int64_t oy = 2 * (win / pw) + l / 8;
-      const std::int64_t ox = 2 * (win % pw) + l / 4 % 2;
+      std::int64_t oy = 0;
+      std::int64_t ox = 0;
+      if (pool) {
+        const std::int64_t win = u + l % 4;
+        if (l % 4 >= live) continue;
+        oy = 2 * (win / pw) + l / 8;
+        ox = 2 * (win % pw) + l / 4 % 2;
+      } else {
+        if (l >= live) continue;
+        oy = (u + l) / out_w;
+        ox = (u + l) % out_w;
+      }
       index[l] = static_cast<std::int32_t>(oy * width + ox);
       lanes = static_cast<std::uint16_t>(lanes | (1u << l));
     }
@@ -612,10 +654,16 @@ __attribute__((target("avx512f"))) void conv_image_avx512(
                        _mm512_mask_i32gather_ps(_mm512_setzero_ps(), lanes,
                                                 idx, image + koff[p], 4));
     }
-    s.dst = u;
-    s.pooled = low_lanes(live);
-    conv_strip_avx512<ConvStore::PoolCorners>(m, k, koff, image, s, w, ep,
-                                              out, ldo);
+    s.dst[0] = u;
+    if (pool) {
+      s.pooled = low_lanes(live);
+      conv_strip_avx512<1, true, ConvStore::PoolCorners>(m, k, koff, image, s,
+                                                         w, ep, out, ldo);
+    } else {
+      s.mask[0] = lanes;
+      conv_strip_avx512<1, true, ConvStore::Plain>(m, k, koff, image, s, w,
+                                                   ep, out, ldo);
+    }
   }
 }
 
@@ -1531,31 +1579,42 @@ void sconv_serial(std::int64_t batch, const float* image,
   const std::int64_t chw = channels * height * width;
   const std::int64_t out_stride = out_channels * n;
 
-  if (pool_2x2) {
-    const std::int64_t ph = out_h / 2;
-    const std::int64_t pw = out_w / 2;
+  // sgemm_serial's column blocks are 256 wide, so in the im2col lowering
+  // the first n − n % 8 outputs of each row are FMA chains, which the
+  // direct kernel reproduces, and the last n % 8 are scalar-tail columns,
+  // whose bits are whatever the compiler made of gemm_block_avx2's scalar
+  // loops. Those columns are gathered into a k × (n % 8) slab and run
+  // through the same loops: sgemm_serial with the same weight, m and
+  // epilogue walks the same row groups and k blocks. Gather offsets are
+  // int32.
 #if SNE_GEMM_X86
-    // sgemm_serial's column blocks are 256 wide, so in the im2col lowering
-    // the first n − n % 8 outputs of each row are FMA chains, which the
-    // direct kernel reproduces, and the last n % 8 are scalar-tail
-    // columns, whose bits are whatever the compiler made of
-    // gemm_block_avx2's scalar loops. So the direct kernel runs only when
-    // no pooled window reads a tail pixel (out_h even and the tail inside
-    // the first 2·pw columns, or narrow rows). Otherwise each image's plain
-    // output goes into a per-thread plane, then the shared pool: by
-    // construction the bits of conv + MaxPool2d.
-    static const bool has_avx512f = cpu_has_avx512f();
+  static const bool has_avx512f = cpu_has_avx512f();
+  const bool direct = has_avx512f && gemm_tier() == GemmTier::Avx2Fma &&
+                      stride == 1 && pad == 0 && chw <= INT32_MAX;
+#else
+  const bool direct = false;
+#endif
+  const std::int64_t tail = n % 8;
+  const std::int64_t ph = out_h / 2;
+  const std::int64_t pw = out_w / 2;
+
+  if (pool_2x2) {
+    // The direct kernel pools in registers unless a pooled window reads a
+    // tail pixel (out_h even and the tail inside the first 2·pw columns,
+    // or narrow rows): those bits only come from the slab. Otherwise each
+    // image's plain output goes into a per-thread plane, then the shared
+    // pool: by construction the bits of conv + MaxPool2d.
     bool reads_tail = false;
-    for (std::int64_t q = n - n % 8; q < n; ++q) {
+    for (std::int64_t q = n - tail; q < n; ++q) {
       reads_tail |= q / out_w < 2 * ph && q % out_w < 2 * pw;
     }
-    if (has_avx512f && gemm_tier() == GemmTier::Avx2Fma && stride == 1 &&
-        pad == 0 && chw <= INT32_MAX && !reads_tail) {
+#if SNE_GEMM_X86
+    if (direct && !reads_tail) {
       const std::int64_t* koff = conv_tap_offsets(channels, height, width,
                                                   kernel);
       for (std::int64_t i = 0; i < batch; ++i) {
         conv_image_avx512(out_channels, k, koff, image + i * chw, width, out_h,
-                          out_w, weight, epilogue,
+                          out_w, true, ph * pw, weight, epilogue,
                           out + i * out_channels * ph * pw);
       }
       return;
@@ -1579,6 +1638,39 @@ void sconv_serial(std::int64_t batch, const float* image,
     }
     return;
   }
+
+#if SNE_GEMM_X86
+  if (direct) {
+    const std::int64_t* koff = conv_tap_offsets(channels, height, width,
+                                                kernel);
+    // Grow-only: the tail's columns, then its m × tail outputs.
+    thread_local std::vector<float> slab;
+    slab.resize(static_cast<std::size_t>((k + out_channels) * tail));
+    float* tail_cols = slab.data();
+    float* tail_out = tail_cols + k * tail;
+    for (std::int64_t i = 0; i < batch; ++i) {
+      const float* img = image + i * chw;
+      float* dst = out + i * out_stride;
+      conv_image_avx512(out_channels, k, koff, img, width, out_h, out_w, false,
+                        n, weight, epilogue, dst);
+      if (tail == 0) continue;
+      for (std::int64_t l = 0; l < tail; ++l) {
+        const std::int64_t q = n - tail + l;
+        const float* at = img + q / out_w * width + q % out_w;
+        for (std::int64_t p = 0; p < k; ++p) {
+          tail_cols[p * tail + l] = at[koff[p]];
+        }
+      }
+      sgemm_serial(out_channels, tail, k, weight, tail_cols, 0.0f,
+                   tail_out, epilogue);
+      for (std::int64_t r = 0; r < out_channels; ++r) {
+        std::copy(tail_out + r * tail, tail_out + (r + 1) * tail,
+                  dst + r * n + n - tail);
+      }
+    }
+    return;
+  }
+#endif
 
   thread_local std::vector<float> cols;
   cols.resize(static_cast<std::size_t>(k * n));

@@ -1,12 +1,12 @@
 // gemm.h — matrix multiply kernels, the im2col/col2im lowering used by
 // the convolution layers, and the serving convolutions: sconv_serial
-// (fp32, optionally writing the 2×2 max-pool of its output, direct only
-// then) and iconv_serial (int8), each direct where the host and shape
-// allow, with the same bits as the im2col lowering (and the pool). These
-// are the hot loops of the whole training pipeline; everything else in
-// the nn library reduces to calls into this file. Two precisions live
-// here: the f32 sgemm family (training and the fp32 serving path), which
-// computes C = A·B + beta·C with no scale on the product, and the s8×s8→s32
+// (fp32, optionally writing the 2×2 max-pool of its output) and
+// iconv_serial (int8), each direct where the host and shape allow, with
+// the same bits as the im2col lowering (and the pool). These are the hot
+// loops of the whole training pipeline; everything else in the nn library
+// reduces to calls into this file. Two precisions live here: the f32
+// sgemm family (training and the fp32 serving path), which computes
+// C = A·B + beta·C with no scale on the product, and the s8×s8→s32
 // igemm_serial (the quantized serving path; see tensor/qtensor.h for how
 // operands are produced).
 //
@@ -108,28 +108,32 @@ void sgemm_serial(std::int64_t m, std::int64_t n, std::int64_t k,
 /// the tier, the CPU and the shape, never from a setting:
 /// - 1×1, stride 1, no pad: the image is already the column matrix, so
 ///   sgemm_serial reads it directly.
+/// - Avx2Fma tier on an AVX-512F host, stride 1, no pad: a direct kernel
+///   reads the image in place. Wide planes (out_w ≥ 16) run strips of two
+///   output rows × 16 columns, one masked load per row chunk and tap;
+///   narrow ones gather each strip's 16 lanes of every tap once into a
+///   per-thread k × 16 slab. In the im2col lowering the first
+///   n − n % 8 outputs of each channel (n = out_h·out_w) are each one
+///   fused multiply-add chain over k ascending from +0, followed by the
+///   bias add and the PReLU select; the direct kernel runs exactly that
+///   sequence, so no bit moves. The last n % 8 are sgemm's scalar tail
+///   columns, whose bits are whatever the compiler made of them, so their
+///   im2col columns are gathered into a k × (n % 8) slab and run through
+///   sgemm_serial with the same weight, channel count and epilogue: the
+///   very tail loops, row groups and k blocks that computed them before.
 /// - Otherwise im2col into a per-thread column buffer, then sgemm_serial.
 ///
 /// With `pool_2x2`, out[b] is instead the 2×2, stride-2 max-pool of that
 /// output, out_channels × ⌊out_h/2⌋·⌊out_w/2⌋ (out_h, out_w ≥ 2), bitwise
 /// equal to the plain output followed by maxpool_2x2 (tensor/pool.h,
-/// which MaxPool2d(2) runs). At the Avx2Fma tier on an AVX-512F host,
-/// stride 1, no pad, a direct kernel reads the image in place and
-/// computes only the 2·⌊out_h/2⌋ × 2·⌊out_w/2⌋ outputs a window reads.
-/// Wide planes (out_w ≥ 16) run strips of two output rows × 16 columns,
-/// one masked load per row chunk and tap; narrow ones gather each strip's
-/// 16 lanes of every tap once into a per-thread k × 16 slab. In the
-/// im2col lowering the first n − n % 8 outputs of each channel
-/// (n = out_h·out_w) are each one fused multiply-add chain over k
-/// ascending from +0, followed by the bias add and the PReLU select; the
-/// direct kernel runs exactly that sequence, then folds each window in
-/// registers with maxpool_2x2's rule and order, storing only the pooled
-/// plane, so no bit moves. The last n % 8 are sgemm's scalar tail
-/// columns, whose bits come only from its scalar tail loops. So where a
-/// window reads one of them, and off the direct kernel (the scalar tier,
-/// hosts without AVX-512F, stride or pad ≠ 1/0), each image's plain
-/// output goes into a per-thread plane through the lowerings above and
-/// maxpool_2x2 pools it.
+/// which MaxPool2d(2) runs). The direct kernel then computes only the
+/// 2·⌊out_h/2⌋ × 2·⌊out_w/2⌋ outputs a window reads and folds each window
+/// in registers with maxpool_2x2's rule and order, storing only the
+/// pooled plane. Where a window reads one of the n % 8 tail outputs
+/// (their bits come only from the slab), and off the direct kernel (the
+/// scalar tier, hosts without AVX-512F, stride or pad ≠ 1/0), each
+/// image's plain output goes into a per-thread plane and maxpool_2x2
+/// pools it.
 /// The output extents must be positive (see conv_out_extent).
 void sconv_serial(std::int64_t batch, const float* image,
                   std::int64_t channels, std::int64_t height,

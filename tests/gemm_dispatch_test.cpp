@@ -543,8 +543,8 @@ struct ConvOperands {
   }
 };
 
-// The lowering Conv2d::infer_with runs for an unpooled conv: per image,
-// im2col then sgemm_serial with the fused epilogue.
+// The lowering Conv2d::infer_with replaced: per image, im2col then
+// sgemm_serial with the fused epilogue.
 Tensor conv_by_im2col(const ConvCase& s, const ConvOperands& in,
                       std::int64_t kernel) {
   const std::int64_t batch = in.x.extent(0);
@@ -592,8 +592,9 @@ TEST(GemmDispatch, DirectConvMatchesIm2colGemmBitwise) {
   set_gemm_tier(GemmTier::Avx2Fma);
   constexpr std::int64_t kKernel = 5;
   constexpr std::int64_t kBatch = 2;
-  // (H, W): out_w < 16, = 16, > 16 with a ragged last 16-column chunk;
-  // odd out_h; out_h·out_w % 8 == 0 or not.
+  // (H, W): out_w < 16 (lanes gathered across rows into the slab), = 16,
+  // > 16 with a masked last chunk per row; odd out_h (a lone last row);
+  // out_h·out_w % 8 == 0 or not.
   constexpr std::int64_t kHw[][2] = {
       {6, 6},   {8, 8},   {10, 8},  {12, 12}, {44, 9},  {20, 20},
       {21, 20}, {8, 22},  {24, 22}, {7, 28},  {9, 44},  {21, 21},
@@ -610,8 +611,8 @@ TEST(GemmDispatch, DirectConvMatchesIm2colGemmBitwise) {
       }
     }
   }
-  // Tier-1 conv0's shape: 289 output pixels, so the last one is a
-  // scalar-tail column of the im2col lowering.
+  // Tier-1 conv0 as the plan runs it: 289 output pixels, so the last one
+  // is a scalar-tail column of the im2col lowering.
   cases.push_back({1, 21, 21, 8, 1, 0, 2});
   // Lowerings that stay on im2col whatever the shape.
   for (const std::int64_t cout : {std::int64_t{10}, std::int64_t{13}}) {
@@ -720,11 +721,12 @@ TEST(GemmDispatch, DirectConvNeverReadsPastTheImage) {
   TierGuard guard;
   set_gemm_tier(GemmTier::Avx2Fma);
   constexpr std::int64_t kKernel = 5;
-  // (8, 22): rows of 18 outputs, a 16-column chunk and a 2-column one;
-  // (10, 8): rows of 4 outputs, 24 in all; (21, 21): tier-1 conv0, whose
-  // 289th output is a scalar-tail column of the lowering; (9, 11): rows
-  // of 7 outputs, 35 in all, the last 3 in scalar-tail columns. In each,
-  // the last tap of the last output reads the image's last float.
+  // (8, 22): rows of 18 outputs, each a 16-lane chunk and a masked 2-lane
+  // one; (10, 8): rows of 4 outputs gathered into the slab, 24 outputs in
+  // a full and a half slab vector; (21, 21): tier-1 conv0, whose 289th
+  // output is a scalar-tail column of the lowering; (9, 11): rows of 7
+  // gathered outputs, 35 in all, the last 3 in scalar-tail columns. In
+  // each, the last tap of the last output reads the image's last float.
   const ConvCase shapes[] = {{3, 8, 22, 10, 1, 0, 2},
                              {20, 10, 8, 30, 1, 0, 2},
                              {1, 21, 21, 8, 1, 0, 2},
